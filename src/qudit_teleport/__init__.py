@@ -17,31 +17,16 @@ from .channels import (
     KrausChannel,
     apply_channel_to_branches,
     crosstalk_channel,
-    identity_channel,
     product_channel,
     weyl,
 )
 from .cli import SweepConfig, SweepResult, SweepRow, emit, main, parse_cli, run_sweep
-from .linalg import (
-    dagger,
-    fidelity,
-    hermitian_eig,
-    kron,
-    partial_trace,
-    projector,
-    pure_fidelity,
-    validate_density_operator,
-)
+from .linalg import pure_fidelity
 from .measurement import (
-    CONVENTIONS,
     GENERAL,
     QUTRIT_ALT,
-    CertificationReport,
     CrystalOperator,
-    MeasurementOperator,
-    certify_measurement_set,
     crystal_operator,
-    measurement_operator,
     povm_elements,
     qft,
 )

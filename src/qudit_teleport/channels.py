@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .linalg import EXACT_TOL, ROUNDOFF_TOL, WEIGHT_FLOOR
+
 __all__ = [
     "SHIFT",
     "PHASE",
@@ -29,7 +31,6 @@ __all__ = [
     "CompletenessError",
     "KrausChannel",
     "weyl",
-    "identity_channel",
     "crosstalk_channel",
     "product_channel",
     "apply_channel_to_branches",
@@ -42,11 +43,6 @@ VARIANTS = (SHIFT, PHASE, WEYL)
 
 INDEPENDENT = "independent"
 CORRELATED = "correlated"
-
-COMPLETENESS_TOL = 1e-12
-
-# Branches whose weight falls below this are analytically zero and dropped.
-_WEIGHT_FLOOR = 1e-24
 
 
 class CompletenessError(ValueError):
@@ -90,15 +86,11 @@ class KrausChannel:
                 raise ValueError(f"Kraus operator shape {op.shape} != ({self.d}, {self.d})")
         total = sum(op.conj().T @ op for op in self.operators)
         residual = float(np.max(np.abs(total - np.eye(self.d))))
-        if residual > COMPLETENESS_TOL:
+        if residual > EXACT_TOL:
             raise CompletenessError(
                 f"sum C^dag C deviates from identity by {residual:.3e} "
                 f"(channel {self.label or '<unlabeled>'})"
             )
-
-
-def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d=d, operators=(np.eye(d, dtype=complex),), label=f"identity(d={d})")
 
 
 def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
@@ -192,9 +184,9 @@ def apply_channel_to_branches(
             norm = np.linalg.norm(new)
             nw = w * norm * norm
             out_weight += nw
-            if nw > _WEIGHT_FLOOR:
+            if nw > WEIGHT_FLOOR:
                 out.append((nw, new / norm))
-    if abs(out_weight - in_weight) > 1e-10:
+    if abs(out_weight - in_weight) > ROUNDOFF_TOL:
         raise RuntimeError(
             f"channel application changed total weight by {out_weight - in_weight:.3e}"
         )

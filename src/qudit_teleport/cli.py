@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channels import INDEPENDENT, CORRELATED, VARIANTS, crosstalk_channel
+from .linalg import EXACT_TOL, GRID_TOL
 from .protocol import DERIVED_EXACT, PAPER_WEYL, ProtocolConfig, run_protocol
 from .states import load_state, random_pure_state, uniform_state
 
@@ -97,8 +99,25 @@ class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
 
 
-def parse_p_grid(text: str) -> tuple[float, ...]:
-    """Inclusive start:end:step grid; the step must divide the range."""
+def parse_p_grid(raw: str | list) -> tuple[float, ...]:
+    """Probability grid from start:end:step text or a list of numbers.
+
+    The text form is an inclusive grid whose step must divide the range.
+    Values within 1e-12 outside [0, 1] are clamped onto it.
+    """
+    if isinstance(raw, str):
+        values = _grid_values(raw)
+    elif isinstance(raw, list) and raw and all(type(x) in (int, float) for x in raw):
+        values = tuple(float(x) for x in raw)
+    else:
+        raise ValueError(f"p-grid must be start:end:step or a nonempty list of numbers, got {raw!r}")
+    for v in values:
+        if not -EXACT_TOL <= v <= 1 + EXACT_TOL:
+            raise ValueError(f"p-grid value {v} outside [0, 1]")
+    return tuple(min(max(v, 0.0), 1.0) for v in values)
+
+
+def _grid_values(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"p-grid must be start:end:step, got {text!r}")
@@ -106,34 +125,43 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
         start, end, step = (float(x) for x in parts)
     except ValueError:
         raise ValueError(f"p-grid values must be numeric, got {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, end, step)):
+        raise ValueError(f"p-grid values must be finite, got {text!r}")
     if step < 0 or end < start:
         raise ValueError(f"p-grid needs end >= start and step >= 0, got {text!r}")
     if end == start:
-        values = (start,)
+        return (start,)
+    if step == 0:
+        raise ValueError("p-grid step must be positive for a nonempty range")
+    n = round((end - start) / step)
+    if abs(start + n * step - end) > GRID_TOL:
+        raise ValueError(f"p-grid step {step} does not divide the range [{start}, {end}]")
+    return tuple(start + k * step for k in range(n + 1))
+
+
+def _parse_dims(raw: str | list) -> tuple[int, ...]:
+    if isinstance(raw, str):
+        try:
+            dims = tuple(int(x) for x in raw.split(","))
+        except ValueError:
+            raise ValueError(f"dims must be comma-separated integers, got {raw!r}") from None
+    elif isinstance(raw, list) and all(type(x) is int for x in raw):
+        dims = tuple(raw)
     else:
-        if step == 0:
-            raise ValueError("p-grid step must be positive for a nonempty range")
-        n = round((end - start) / step)
-        if abs(start + n * step - end) > 1e-9:
-            raise ValueError(f"p-grid step {step} does not divide the range [{start}, {end}]")
-        values = tuple(start + k * step for k in range(n + 1))
-    for v in values:
-        if not -1e-12 <= v <= 1 + 1e-12:
-            raise ValueError(f"p-grid value {v} outside [0, 1]")
-    return tuple(min(max(v, 0.0), 1.0) for v in values)
-
-
-def _parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"dims must be comma-separated integers, got {text!r}") from None
+        raise ValueError(f"dims must be comma-separated integers or a list of integers, got {raw!r}")
     if not dims or any(d < 2 for d in dims):
         raise ValueError("every dimension must be an integer >= 2")
     return dims
 
 
-def _parse_input(text: str) -> InputSpec:
+def _require_str(raw, key: str) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"{key} must be a string, got {raw!r}")
+    return raw
+
+
+def _parse_input(raw: str) -> InputSpec:
+    text = _require_str(raw, "input")
     if text == "uniform":
         return InputSpec(kind="uniform")
     if text.startswith("random:"):
@@ -155,11 +183,65 @@ def _parse_input(text: str) -> InputSpec:
     raise ValueError(f"unknown input spec {text!r}")
 
 
-def _parse_targets(text: str) -> tuple[str, ...]:
+def _parse_targets(raw: str) -> tuple[str, ...]:
+    text = _require_str(raw, "noise targets")
     targets = tuple(t.strip() for t in text.split(",") if t.strip())
     if not targets or any(t not in ("a1", "a2") for t in targets):
         raise ValueError(f"noise targets must be a subset of a1,a2, got {text!r}")
     return tuple(dict.fromkeys(targets))
+
+
+def _parse_eta(raw: str | float) -> float:
+    message = f"eta must be a number in [0, 1], got {raw!r}"
+    if type(raw) not in (str, int, float):
+        raise ValueError(message)
+    try:
+        eta = float(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if not 0 <= eta <= 1:
+        raise ValueError(message)
+    return eta
+
+
+def _parse_timing(raw: bool) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"timing must be true or false, got {raw!r}")
+    return raw
+
+
+def _choice(key: str, allowed: tuple[str, ...]):
+    def parse(raw: str) -> str:
+        if not isinstance(raw, str) or raw not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+NOISE_MODES = (INDEPENDENT, CORRELATED)
+CORRECTIONS = (PAPER_WEYL, DERIVED_EXACT)
+FORMATS = ("csv", "json")
+
+# Config key (also the argparse dest) -> (parser, default). A parser takes the
+# flag's text or the JSON value and raises ValueError on a bad type or value.
+_SETTINGS = {
+    "dims": (_parse_dims, ",".join(map(str, DEFAULT_DIMS))),
+    "p_grid": (parse_p_grid, DEFAULT_P_GRID),
+    "input": (_parse_input, "uniform"),
+    "noise": (_choice("noise", VARIANTS), "weyl"),
+    "noise_mode": (_choice("noise mode", NOISE_MODES), INDEPENDENT),
+    "noise_targets": (_parse_targets, "a1,a2"),
+    "correction": (_choice("correction", CORRECTIONS), DERIVED_EXACT),
+    "eta": (_parse_eta, None),
+    "out": (lambda raw: _require_str(raw, "out"), None),
+    "format": (_choice("format", FORMATS), "csv"),
+    "timing": (_parse_timing, False),
+}
+
+
+def _metavar(allowed: tuple[str, ...]) -> str:
+    return "{" + ",".join(allowed) + "}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,13 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dims", metavar="LIST", help=f"comma-separated dimensions (default {','.join(map(str, DEFAULT_DIMS))})")
     parser.add_argument("--p-grid", metavar="S:E:STEP", help=f"inclusive probability grid (default {DEFAULT_P_GRID})")
     parser.add_argument("--input", metavar="SPEC", help="uniform | random:N:SEED | file:PATH (default uniform)")
-    parser.add_argument("--noise", choices=list(VARIANTS), default=None, help="crosstalk variant (default weyl)")
-    parser.add_argument("--noise-mode", choices=[INDEPENDENT, CORRELATED], default=None, help="two-qudit composition (default independent)")
+    parser.add_argument("--noise", metavar=_metavar(VARIANTS), help="crosstalk variant (default weyl)")
+    parser.add_argument("--noise-mode", metavar=_metavar(NOISE_MODES), help="two-qudit composition (default independent)")
     parser.add_argument("--noise-targets", metavar="LIST", help="a1,a2 or a2 (default a1,a2)")
-    parser.add_argument("--correction", choices=[PAPER_WEYL, DERIVED_EXACT], default=None, help="correction scheme (default derived-exact)")
-    parser.add_argument("--eta", type=float, default=None, help="upconversion efficiency, reporting only")
+    parser.add_argument("--correction", metavar=_metavar(CORRECTIONS), help="correction scheme (default derived-exact)")
+    parser.add_argument("--eta", help="upconversion efficiency in [0, 1], reporting only")
     parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None, help="output format (default csv)")
+    parser.add_argument("--format", metavar=_metavar(FORMATS), help="output format (default csv)")
     parser.add_argument("--timing", action="store_true", default=None, help="record wall-clock runtime_ms (breaks byte determinism)")
     return parser
 
@@ -185,11 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_cli(argv: list[str] | None = None) -> SweepConfig:
     """Parse flags (and optional --config file) into a SweepConfig.
 
-    Malformed values exit with status 2 and a message on stderr, matching
-    argparse behavior for unknown flags.
+    Each setting goes through one parser, whether it comes from a flag or
+    from the config file. A malformed value exits with status 2 and a
+    one-line message on stderr.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
+
+    def fail(message: str):
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
 
     file_cfg: dict = {}
     if args.config is not None:
@@ -197,72 +283,40 @@ def parse_cli(argv: list[str] | None = None) -> SweepConfig:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except OSError as exc:
-            parser.error(f"cannot read config file: {exc}")
+            fail(f"cannot read config file: {exc}")
         except json.JSONDecodeError as exc:
-            parser.error(f"config file is not valid JSON: {exc}")
+            fail(f"config file is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
-            parser.error("config file must hold a JSON object")
-        known = {"dims", "p_grid", "input", "noise", "noise_mode", "noise_targets",
-                 "correction", "eta", "out", "format", "timing"}
-        unknown = set(file_cfg) - known
+            fail("config file must hold a JSON object")
+        unknown = set(file_cfg) - set(_SETTINGS)
         if unknown:
-            parser.error(f"unknown config file keys: {sorted(unknown)}")
+            fail(f"unknown config file keys: {sorted(unknown)}")
 
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg and file_cfg[key] is not None:
-            return file_cfg[key]
-        return default
-
-    try:
-        dims_raw = pick(args.dims, "dims", ",".join(map(str, DEFAULT_DIMS)))
-        dims = _parse_dims(dims_raw) if isinstance(dims_raw, str) else tuple(int(x) for x in dims_raw)
-        if any(d < 2 for d in dims):
-            raise ValueError("every dimension must be an integer >= 2")
-        grid_raw = pick(args.p_grid, "p_grid", DEFAULT_P_GRID)
-        if isinstance(grid_raw, str):
-            p_grid = parse_p_grid(grid_raw)
-        else:
-            p_grid = tuple(float(x) for x in grid_raw)
-            if any(not 0 <= x <= 1 for x in p_grid):
-                raise ValueError("p_grid values must lie in [0, 1]")
-        input_spec = _parse_input(pick(args.input, "input", "uniform"))
-        targets = _parse_targets(pick(args.noise_targets, "noise_targets", "a1,a2"))
-        variant = pick(args.noise, "noise", "weyl")
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown noise variant {variant!r}")
-        mode = pick(args.noise_mode, "noise_mode", INDEPENDENT)
-        if mode not in (INDEPENDENT, CORRELATED):
-            raise ValueError(f"unknown noise mode {mode!r}")
-        correction = pick(args.correction, "correction", DERIVED_EXACT)
-        if correction not in (PAPER_WEYL, DERIVED_EXACT):
-            raise ValueError(f"unknown correction scheme {correction!r}")
-        eta = pick(args.eta, "eta", None)
-        if eta is not None:
-            eta = float(eta)
-            if not 0 <= eta <= 1:
-                raise ValueError("eta must lie in [0, 1]")
-        fmt = pick(args.format, "format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {fmt!r}")
-        out_path = pick(args.out, "out", None)
-        timing = bool(pick(args.timing, "timing", False))
-    except ValueError as exc:
-        parser.error(str(exc))
+    # a flag beats the file, the file beats the default; null means unset
+    values = {}
+    for key, (parse, default) in _SETTINGS.items():
+        raw = getattr(args, key)
+        if raw is None:
+            raw = file_cfg.get(key)
+        if raw is None:
+            raw = default
+        try:
+            values[key] = None if raw is None else parse(raw)
+        except ValueError as exc:
+            fail(str(exc))
 
     return SweepConfig(
-        dims=tuple(dims),
-        p_grid=tuple(p_grid),
-        input_spec=input_spec,
-        noise_variant=variant,
-        noise_mode=mode,
-        noise_targets=targets,
-        correction_scheme=correction,
-        eta=eta,
-        out_path=out_path,
-        fmt=fmt,
-        measure_runtime=timing,
+        dims=values["dims"],
+        p_grid=values["p_grid"],
+        input_spec=values["input"],
+        noise_variant=values["noise"],
+        noise_mode=values["noise_mode"],
+        noise_targets=values["noise_targets"],
+        correction_scheme=values["correction"],
+        eta=values["eta"],
+        out_path=values["out"],
+        fmt=values["format"],
+        measure_runtime=values["timing"],
     )
 
 

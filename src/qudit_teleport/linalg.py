@@ -1,133 +1,33 @@
-"""Dense complex linear algebra for small quantum systems.
+"""Pure-state fidelity and the package's tolerance policy.
 
-Kets are 1-d complex numpy arrays, operators are 2-d complex numpy arrays.
-Tensor products use lexicographic basis ordering with the left factor as the
-most significant index (the np.kron convention). All functions are pure and
-never mutate their arguments.
+Every round-off comparison in the package uses one of the four tolerances
+below; each value is defined here and nowhere else.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
-    "kron",
-    "dagger",
-    "projector",
-    "partial_trace",
-    "hermitian_eig",
-    "fidelity",
+    "WEIGHT_FLOOR",
+    "EXACT_TOL",
+    "ROUNDOFF_TOL",
+    "GRID_TOL",
     "pure_fidelity",
-    "validate_density_operator",
 ]
 
-# Eigenvalues of nominally-PSD matrices in [-EIG_CLAMP, 0) are treated as
-# round-off and clamped to zero; anything below -EIG_CLAMP is an error.
-EIG_CLAMP = 1e-10
-HERMITICITY_TOL = 1e-10
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left factor most significant.
-
-    Entry (i*b.rows + k, j*b.cols + l) equals a[i, j] * b[k, l].
-    """
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-1 density operator |v><v| of a ket."""
-    v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Reduced density operator over the subsystems listed in ``keep``.
-
-    ``dims`` gives the dimension of every tensor factor in order; their
-    product must equal the side length of ``rho``. Kept subsystems retain
-    their original relative order. Trace is preserved.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = tuple(int(x) for x in dims)
-    if any(x < 1 for x in dims):
-        raise ValueError("subsystem dimensions must be positive")
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(
-            f"dimension mismatch: product of dims is {total} but rho is {rho.shape}"
-        )
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices must lie in [0, {n - 1}]")
-
-    # Row and column multi-indices; traced subsystems share a label.
-    t = rho.reshape(dims + dims)
-    row = list(range(n))
-    col = [n + ax if ax in keep else ax for ax in range(n)]
-    out = [ax for ax in keep] + [n + ax for ax in keep]
-    reduced = np.einsum(t, row + col, out)
-    kept_dim = int(np.prod([dims[ax] for ax in keep]))
-    return reduced.reshape(kept_dim, kept_dim)
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns). Raises ValueError
-    when the input deviates from Hermitian by more than 1e-10 entry-wise.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def _clamped_sqrt(w: np.ndarray) -> np.ndarray:
-    if np.min(w) < -EIG_CLAMP:
-        raise ValueError(
-            f"matrix has eigenvalue {np.min(w):.3e} below the -1e-10 round-off floor"
-        )
-    # sqrt amplifies eigenvalue dust (sqrt(1e-17) ~ 3e-9), so zero everything
-    # below the eigensolver's own resolution as well as the negatives
-    floor = max(float(np.max(w, initial=0.0)), 0.0) * w.size * 1e-14
-    return np.sqrt(np.where(w > floor, w, 0.0))
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    w, v = hermitian_eig(a)
-    return (v * _clamped_sqrt(w)) @ v.conj().T
-
-
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """State fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho)), in [0, 1].
-
-    This is the general mixed-state path; see ``pure_fidelity`` for the
-    rank-1 shortcut. Both agree within 1e-10 whenever rho is pure.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    s = _psd_sqrt(rho)
-    inner = s @ sigma @ s
-    inner = (inner + inner.conj().T) / 2.0
-    w, _ = hermitian_eig(inner)
-    f = float(np.sum(_clamped_sqrt(w)))
-    return min(max(f, 0.0), 1.0)
+# Noise branches and detection outcomes whose weight falls below this are
+# analytically zero: they are dropped or left unscored.
+WEIGHT_FLOOR = 1e-24
+# Quantities exact up to a few ulps: Kraus completeness, state normalization,
+# the zero-vector check, the correction search tie-break, p-grid edges.
+EXACT_TOL = 1e-12
+# Quantities that accumulate round-off over a sum or product: weight
+# conservation, the outcome probability sum, unitarity, input normalization,
+# the eigenvalue clamp, the unit-fidelity check.
+ROUNDOFF_TOL = 1e-10
+# The p-grid step must divide the range to within this.
+GRID_TOL = 1e-9
 
 
 def pure_fidelity(phi: np.ndarray, sigma: np.ndarray) -> float:
@@ -145,27 +45,6 @@ def pure_fidelity(phi: np.ndarray, sigma: np.ndarray) -> float:
     if sigma.shape != (phi.size, phi.size):
         raise ValueError(f"dimension mismatch: {phi.shape} vs {sigma.shape}")
     val = float(np.real(np.vdot(phi, sigma @ phi)))
-    if val < -EIG_CLAMP:
+    if val < -ROUNDOFF_TOL:
         raise ValueError(f"<phi|sigma|phi> = {val:.3e} is negative beyond round-off")
     return min(float(np.sqrt(max(val, 0.0))), 1.0)
-
-
-def validate_density_operator(
-    rho: np.ndarray,
-    *,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density operator must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density operator is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density operator trace is {tr}, expected 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if np.min(w) < eig_floor:
-        raise ValueError(f"density operator has eigenvalue {np.min(w):.3e} < {eig_floor}")

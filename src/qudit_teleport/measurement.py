@@ -15,8 +15,7 @@ the input pairs but assigns different output paths for groups 1 and 2.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,22 +23,16 @@ import numpy as np
 __all__ = [
     "GENERAL",
     "QUTRIT_ALT",
-    "CONVENTIONS",
     "CrystalOperator",
-    "MeasurementOperator",
-    "CertificationReport",
     "crystal_operator",
     "crystal_pairs",
     "qft",
-    "measurement_operator",
     "measurement_row",
     "povm_elements",
-    "certify_measurement_set",
 ]
 
 GENERAL = "general"
 QUTRIT_ALT = "qutrit-alt"
-CONVENTIONS = (GENERAL, QUTRIT_ALT)
 
 # Alternate qutrit wiring: (output path, first input, second input) per group.
 _QUTRIT_ALT_PAIRS = {
@@ -54,17 +47,6 @@ class CrystalOperator:
     """One crystal group: a d x d^2 matrix with d unit entries."""
 
     d: int
-    m: int
-    convention: str
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class MeasurementOperator:
-    """Composite operator |i><i| QFT M_m; only row i is nonzero."""
-
-    d: int
-    i: int
     m: int
     convention: str
     matrix: np.ndarray
@@ -137,13 +119,6 @@ def measurement_row(d: int, i: int, m: int, convention: str = GENERAL) -> np.nda
     return measurement_rows(d, convention)[i * d + m]
 
 
-def measurement_operator(d: int, i: int, m: int, convention: str = GENERAL) -> MeasurementOperator:
-    """Composite measurement operator for detector i and crystal group m."""
-    mat = np.zeros((d, d * d), dtype=complex)
-    mat[i] = measurement_row(d, i, m, convention)
-    return MeasurementOperator(d=d, i=i, m=m, convention=convention, matrix=mat)
-
-
 def povm_elements(d: int, convention: str = GENERAL) -> list[np.ndarray]:
     """The d^2 POVM elements M_(i,m)^dag M_(i,m), ordered by (i, m)."""
     out = []
@@ -152,63 +127,3 @@ def povm_elements(d: int, convention: str = GENERAL) -> list[np.ndarray]:
             row = measurement_row(d, i, m, convention)
             out.append(np.outer(row.conj(), row))
     return out
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    """Completeness and structure checks for a set of crystal operators."""
-
-    dimension: int
-    convention: str
-    completeness_residual: float
-    partition_valid: bool
-    per_operator: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "convention": self.convention,
-            "completeness_residual": self.completeness_residual,
-            "partition_valid": self.partition_valid,
-            "per_operator": list(self.per_operator),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-def certify_measurement_set(operators: list[CrystalOperator]) -> CertificationReport:
-    """Certify a full crystal set; failures are reported, never raised.
-
-    Checks the max-entry residual of sum_m M_m^dag M_m against the identity,
-    row orthonormality of each operator, and that the accepted input pairs
-    hit every basis pair exactly once across the set.
-    """
-    if not operators:
-        raise ValueError("empty operator set")
-    d = operators[0].d
-    if any(op.d != d for op in operators):
-        raise ValueError("operators do not share a dimension")
-    convention = operators[0].convention
-
-    total = np.zeros((d * d, d * d), dtype=complex)
-    hits = np.zeros(d * d, dtype=int)
-    per_op = []
-    for op in operators:
-        total += op.matrix.conj().T @ op.matrix
-        hits += (np.abs(op.matrix) > 0).sum(axis=0)
-        row_resid = float(np.max(np.abs(op.matrix @ op.matrix.conj().T - np.eye(d))))
-        per_op.append({"m": op.m, "row_orthonormality_residual": row_resid})
-
-    completeness = float(np.max(np.abs(total - np.eye(d * d))))
-    partition_valid = bool(np.all(hits == 1)) and all(
-        np.count_nonzero(op.matrix) == d and np.allclose(op.matrix[np.abs(op.matrix) > 0], 1.0)
-        for op in operators
-    )
-    return CertificationReport(
-        dimension=d,
-        convention=convention,
-        completeness_residual=completeness,
-        partition_valid=partition_valid,
-        per_operator=per_op,
-    )

@@ -38,7 +38,7 @@ from .channels import (
     product_channel,
     weyl,
 )
-from .linalg import pure_fidelity
+from .linalg import EXACT_TOL, ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
 from .measurement import GENERAL, measurement_row, measurement_rows
 from .states import bell_state, is_normalized, random_pure_state
 
@@ -63,9 +63,6 @@ PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
 
 PROBE_COUNT = 20
-UNIT_FIDELITY_TOL = 1e-10
-
-_WEIGHT_FLOOR = 1e-24
 
 
 class CorrectionError(RuntimeError):
@@ -92,20 +89,19 @@ def compose_initial(input_state: np.ndarray, bell: np.ndarray) -> np.ndarray:
     return np.kron(input_state, bell)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutcomeRecord:
     """One detection branch: detector i, crystal group m and receiver state.
 
     ``receiver_state`` is a ket when a single noise branch survives and a
-    density matrix otherwise. ``fidelity`` is filled once a correction has
-    been applied.
+    density matrix otherwise. ``fidelity`` is None until a correction has
+    been applied, and then ``receiver_state`` is the corrected state.
     """
 
     i: int
     m: int
     probability: float
     receiver_state: np.ndarray
-    corrected: bool = False
     fidelity: float | None = None
 
 
@@ -134,14 +130,14 @@ def enumerate_outcomes(
     probs = norms2 @ weights
 
     total = float(np.sum(weights))
-    if abs(float(np.sum(probs)) - total) > 1e-10:
+    if abs(float(np.sum(probs)) - total) > ROUNDOFF_TOL:
         raise RuntimeError("outcome probabilities do not sum to the branch weight")
 
     records = []
     for o in range(d * d):
         i, m = divmod(o, d)
         bw = weights * norms2[o]
-        alive = np.flatnonzero(bw > _WEIGHT_FLOOR)
+        alive = np.flatnonzero(bw > WEIGHT_FLOOR)
         p = float(probs[o])
         if alive.size == 0:
             records.append(
@@ -163,10 +159,6 @@ def enumerate_outcomes(
 def weyl_correction(d: int, i: int, m: int) -> np.ndarray:
     """Plain Weyl correction U_(i,m) for outcome (i, m)."""
     return weyl(d, i, m)
-
-
-def _closed_form_correction(d: int, i: int, m: int) -> np.ndarray:
-    return weyl(d, (-i) % d, m) @ inversion(d)
 
 
 def _probe_states(d: int) -> list[np.ndarray]:
@@ -202,14 +194,11 @@ def find_correction(
                 fid = float(
                     np.mean([abs(np.vdot(phi, u @ r)) for phi, r in zip(probes, received)])
                 )
-                if fid > best_fid + 1e-12:
+                if fid > best_fid + EXACT_TOL:
                     best_fid = fid
                     best_u = u
     assert best_u is not None
     return best_u, best_fid
-
-
-_search_cache: dict[tuple[int, int, int, str], np.ndarray] = {}
 
 
 def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) -> np.ndarray:
@@ -217,21 +206,24 @@ def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) 
 
     For the general convention this is U_((-i) mod d, m) INV in closed form.
     For alternate conventions the unitary is recovered by ``find_correction``
-    and cached; CorrectionError is raised when the search group contains no
-    unit-fidelity candidate.
+    and cached read-only; CorrectionError is raised when the search group
+    contains no unit-fidelity candidate.
     """
     if convention == GENERAL:
-        return _closed_form_correction(d, i, m)
-    key = (d, i, m, convention)
-    if key not in _search_cache:
-        u, fid = find_correction(d, i, m, convention)
-        if fid < 1.0 - UNIT_FIDELITY_TOL:
-            raise CorrectionError(
-                f"no unit-fidelity correction for outcome (i={i}, m={m}) under "
-                f"{convention!r}; best candidate reaches {fid:.12f}"
-            )
-        _search_cache[key] = u
-    return _search_cache[key]
+        return weyl(d, (-i) % d, m) @ inversion(d)
+    return _searched_correction(d, i, m, convention)
+
+
+@lru_cache(maxsize=64)
+def _searched_correction(d: int, i: int, m: int, convention: str) -> np.ndarray:
+    u, fid = find_correction(d, i, m, convention)
+    if fid < 1.0 - ROUNDOFF_TOL:
+        raise CorrectionError(
+            f"no unit-fidelity correction for outcome (i={i}, m={m}) under "
+            f"{convention!r}; best candidate reaches {fid:.12f}"
+        )
+    u.setflags(write=False)
+    return u
 
 
 @dataclass
@@ -245,8 +237,10 @@ class CorrectionTable:
         for (i, m), u in self.entries.items():
             if u.shape != (self.d, self.d):
                 raise ValueError(f"correction for ({i}, {m}) has shape {u.shape}")
-            if np.max(np.abs(u @ u.conj().T - np.eye(self.d))) > 1e-10:
-                raise ValueError(f"correction for ({i}, {m}) is not unitary within 1e-10")
+            if np.max(np.abs(u @ u.conj().T - np.eye(self.d))) > ROUNDOFF_TOL:
+                raise ValueError(
+                    f"correction for ({i}, {m}) is not unitary within {ROUNDOFF_TOL:g}"
+                )
 
     def matrix(self, i: int, m: int) -> np.ndarray:
         try:
@@ -339,7 +333,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     phi = np.asarray(config.input_state, dtype=complex)
     if phi.shape != (d,):
         raise ValueError(f"input state has shape {phi.shape}, expected ({d},)")
-    if not is_normalized(phi, tol=1e-10):
+    if not is_normalized(phi, tol=ROUNDOFF_TOL):
         raise ValueError("input state is not normalized")
 
     psi0 = compose_initial(phi, bell_state(d, config.bell_label))
@@ -365,19 +359,18 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
 
     avg = 0.0
     min_fid = 1.0
-    for rec in records:
-        if rec.probability <= _WEIGHT_FLOOR:
+    for k, rec in enumerate(records):
+        if rec.probability <= WEIGHT_FLOOR:
             continue
         u = _correction_matrix(config, rec.i, rec.m)
         if rec.receiver_state.ndim == 1:
-            rec.receiver_state = u @ rec.receiver_state
-            rec.fidelity = pure_fidelity(phi, rec.receiver_state)
+            state = u @ rec.receiver_state
         else:
-            rec.receiver_state = u @ rec.receiver_state @ u.conj().T
-            rec.fidelity = pure_fidelity(phi, rec.receiver_state)
-        rec.corrected = True
-        avg += rec.probability * rec.fidelity
-        min_fid = min(min_fid, rec.fidelity)
+            state = u @ rec.receiver_state @ u.conj().T
+        fid = pure_fidelity(phi, state)
+        records[k] = OutcomeRecord(rec.i, rec.m, rec.probability, state, fid)
+        avg += rec.probability * fid
+        min_fid = min(min_fid, fid)
 
     return ProtocolResult(
         config=config,

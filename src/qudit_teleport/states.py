@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import EXACT_TOL
+
 __all__ = [
     "basis_state",
     "bell_state",
@@ -18,8 +20,6 @@ __all__ = [
     "load_state",
     "parse_state_text",
 ]
-
-NORM_TOL = 1e-12
 
 
 def basis_state(d: int, k: int) -> np.ndarray:
@@ -71,7 +71,7 @@ def random_pure_state(d: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def is_normalized(v: np.ndarray, tol: float = NORM_TOL) -> bool:
+def is_normalized(v: np.ndarray, tol: float = EXACT_TOL) -> bool:
     return abs(np.linalg.norm(v) - 1.0) <= tol
 
 
@@ -79,7 +79,8 @@ def parse_state_text(text: str) -> np.ndarray:
     """Parse the plain-text state format.
 
     First line: the dimension d. Then d lines, each "re im". The parsed
-    vector is normalized; an all-zero vector is rejected.
+    vector is normalized; non-finite amplitudes and an all-zero vector are
+    rejected.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -101,8 +102,10 @@ def parse_state_text(text: str) -> np.ndarray:
             v[idx] = float(parts[0]) + 1j * float(parts[1])
         except ValueError:
             raise ValueError(f"amplitude line {idx + 1} is not numeric: {ln!r}") from None
+        if not np.isfinite(v[idx]):
+            raise ValueError(f"amplitude line {idx + 1} is not finite: {ln!r}")
     norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    if norm < EXACT_TOL:
         raise ValueError("state vector is zero")
     return v / norm
 

@@ -12,16 +12,18 @@ from qudit_teleport.channels import (
     KrausChannel,
     apply_channel_to_branches,
     crosstalk_channel,
-    identity_channel,
     product_channel,
     weyl,
 )
-from qudit_teleport.linalg import projector
 from qudit_teleport.states import basis_state, uniform_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1, -1]).astype(complex)
 ISY = np.array([[0, 1], [-1, 0]], dtype=complex)  # i * sigma_y
+
+
+def identity(d):
+    return KrausChannel(d=d, operators=(np.eye(d),))
 
 
 class TestWeyl:
@@ -118,7 +120,7 @@ class TestKrausChannelValidation:
 
 class TestProductChannel:
     def test_identity_pair(self):
-        ch = product_channel(identity_channel(2), identity_channel(2))
+        ch = product_channel(identity(2), identity(2))
         assert len(ch.operators) == 1
         np.testing.assert_array_equal(ch.operators[0], np.eye(4))
 
@@ -132,7 +134,7 @@ class TestProductChannel:
 
     def test_correlated_count_mismatch(self):
         with pytest.raises(ValueError, match="count"):
-            product_channel(crosstalk_channel(2, 0.5, SHIFT), identity_channel(2), CORRELATED)
+            product_channel(crosstalk_channel(2, 0.5, SHIFT), identity(2), CORRELATED)
 
     def test_correlated_completeness_failure_raises(self):
         a = crosstalk_channel(2, 0.5, SHIFT)
@@ -148,7 +150,7 @@ class TestProductChannel:
 class TestApplyChannelToBranches:
     def test_identity_channel_noop(self):
         v = uniform_state(4)
-        out = apply_channel_to_branches(identity_channel(4), [(1.0, v)], (4,), 0)
+        out = apply_channel_to_branches(identity(4), [(1.0, v)], (4,), 0)
         assert len(out) == 1
         assert out[0][0] == pytest.approx(1.0)
         np.testing.assert_allclose(out[0][1], v, atol=1e-15)
@@ -171,10 +173,10 @@ class TestApplyChannelToBranches:
         v = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
         v /= np.linalg.norm(v)
         branches = apply_channel_to_branches(ch, [(1.0, v)], (d, d, d), 1)
-        rho_branches = sum(w * projector(x) for w, x in branches)
+        rho_branches = sum(w * np.outer(x, x.conj()) for w, x in branches)
 
         eye = np.eye(d, dtype=complex)
-        rho = projector(v)
+        rho = np.outer(v, v.conj())
         rho_matrix = sum(
             (k := np.kron(np.kron(eye, op), eye)) @ rho @ k.conj().T for op in ch.operators
         )
@@ -190,8 +192,8 @@ class TestApplyChannelToBranches:
 
     def test_mask_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            apply_channel_to_branches(identity_channel(3), [(1.0, uniform_state(4))], (2, 2), 0)
+            apply_channel_to_branches(identity(3), [(1.0, uniform_state(4))], (2, 2), 0)
 
     def test_bad_state_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            apply_channel_to_branches(identity_channel(2), [(1.0, uniform_state(3))], (2, 2), 0)
+            apply_channel_to_branches(identity(2), [(1.0, uniform_state(3))], (2, 2), 0)

@@ -114,6 +114,37 @@ class TestParseCli:
             parse_cli(["--config", str(cfg_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"dims": 5},
+            {"dims": [2.7]},
+            {"p_grid": 0.5},
+            {"p_grid": "0:inf:0.1"},
+            {"input": 5},
+            {"noise_targets": ["a1"]},
+            {"eta": [1]},
+            {"timing": "no"},
+            {"noise": 3},
+            {"out": 5},
+        ],
+    )
+    def test_config_file_bad_value_exits_2(self, tmp_path, capsys, entry):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(entry))
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--config", str(cfg_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error" in err
+
+    def test_config_p_grid_list_clamped_like_flag(self, tmp_path):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"p_grid": [1.0000000000001]}))
+        from_file = parse_cli(["--config", str(cfg_path)]).p_grid
+        from_flag = parse_cli(["--p-grid", "1.0000000000001:1.0000000000001:1"]).p_grid
+        assert from_file == from_flag == (1.0,)
+
     def test_missing_config_file_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--config", "/nonexistent/sweep.json"])

@@ -1,20 +1,12 @@
 import numpy as np
 import pytest
 
-from qudit_teleport.linalg import (
-    dagger,
-    fidelity,
-    hermitian_eig,
-    kron,
-    partial_trace,
-    projector,
-    pure_fidelity,
-    validate_density_operator,
-)
-from qudit_teleport.measurement import qft
-from qudit_teleport.states import basis_state, bell_state
+from qudit_teleport.channels import KrausChannel, product_channel
+from qudit_teleport.linalg import pure_fidelity
+from qudit_teleport.states import basis_state
 
-from conftest import random_complex_matrix, random_density, random_hermitian, random_unitary
+from conftest import random_density, random_unitary
+from dm_reference import _fidelity_eig
 
 
 def kron_oracle(a, b):
@@ -30,125 +22,51 @@ def kron_oracle(a, b):
     return out
 
 
-class TestKron:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+def projector(v):
+    return np.outer(v, v.conj())
 
-    def test_scalar_factor(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        np.testing.assert_array_equal(kron(sx, np.array([[1.0]])), sx)
+
+class TestKron:
+    """The package's Kronecker convention: the left factor is most significant."""
 
     def test_against_index_formula_oracle(self, rng):
-        a = random_complex_matrix(rng, 2, 4)
-        b = random_complex_matrix(rng, 3, 2)
-        np.testing.assert_allclose(kron(a, b), kron_oracle(a, b), atol=1e-14)
-
-    def test_associativity(self, rng):
-        a = random_complex_matrix(rng, 2, 2)
-        b = random_complex_matrix(rng, 3, 3)
-        c = random_complex_matrix(rng, 2, 2)
-        np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-
-class TestDagger:
-    def test_identity(self):
-        np.testing.assert_array_equal(dagger(np.eye(3)), np.eye(3))
-
-    def test_involution(self, rng):
-        a = random_complex_matrix(rng, 3, 5)
-        np.testing.assert_array_equal(dagger(dagger(a)), a)
-
-    def test_qft_unitarity(self):
-        for d in (2, 3, 5, 8):
-            np.testing.assert_allclose(dagger(qft(d)) @ qft(d), np.eye(d), atol=1e-12)
-
-
-class TestPartialTrace:
-    def test_bell_marginal_is_maximally_mixed(self):
-        rho = projector(bell_state(2, (0, 0)))
-        np.testing.assert_allclose(partial_trace(rho, (2, 2), keep=[1]), np.eye(2) / 2, atol=1e-14)
-
-    def test_product_state_factor(self, rng):
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 3)
-        got = partial_trace(kron(rho_a, rho_b), (2, 3), keep=[0])
-        np.testing.assert_allclose(got, rho_a, atol=1e-13)
-
-    def test_tripartite_against_direct_summation(self, rng):
-        dims = (2, 3, 2)
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        v /= np.linalg.norm(v)
-        rho = projector(v)
-        got = partial_trace(rho, dims, keep=[2])
-
-        # direct summation oracle over the dropped indices
-        want = np.zeros((2, 2), dtype=complex)
-        t = rho.reshape(dims + dims)
-        for a in range(2):
-            for b in range(3):
-                want += t[a, b, :, a, b, :]
-        np.testing.assert_allclose(got, want, atol=1e-14)
-        assert abs(np.trace(got) - 1) < 1e-12
-        assert np.min(np.linalg.eigvalsh(got)) > -1e-12
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            partial_trace(np.eye(6) / 6, (2, 2), keep=[0])
-
-    def test_empty_keep_raises(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4) / 4, (2, 2), keep=[])
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(w, [1, 1, 1])
-
-    def test_diagonal(self):
-        w, _ = hermitian_eig(np.diag([0.2, 0.8]).astype(complex))
-        np.testing.assert_allclose(w, [0.2, 0.8])
-
-    def test_reconstruction_residual(self, rng):
-        a = random_hermitian(rng, 8)
-        w, v = hermitian_eig(a)
-        assert np.all(np.diff(w) >= -1e-12)
-        np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
-        assert np.max(np.abs((v * w) @ v.conj().T - a)) <= 1e-9
-
-    def test_non_hermitian_rejected(self, rng):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(random_complex_matrix(rng, 4, 4))
+        a = random_unitary(rng, 2)
+        b = random_unitary(rng, 3)
+        pair = product_channel(KrausChannel(d=2, operators=(a,)), KrausChannel(d=3, operators=(b,)))
+        np.testing.assert_allclose(pair.operators[0], kron_oracle(a, b), atol=1e-14)
 
 
 class TestFidelity:
+    """Properties of the eigendecomposition fidelity in ``dm_reference`` and
+    its agreement with the rank-1 shortcut the pipeline uses."""
+
     def test_self_fidelity_is_one(self, rng):
         rho = random_density(rng, 4)
-        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-12)
+        assert _fidelity_eig(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_pure_states(self):
         r0 = projector(basis_state(2, 0))
         r1 = projector(basis_state(2, 1))
-        assert fidelity(r0, r1) == pytest.approx(0.0, abs=1e-12)
+        assert _fidelity_eig(r0, r1) == pytest.approx(0.0, abs=1e-12)
 
     def test_plus_vs_maximally_mixed(self):
         plus = (basis_state(2, 0) + basis_state(2, 1)) / np.sqrt(2)
         want = 1 / np.sqrt(2)  # sqrt(<+|I/2|+>) = sqrt(1/2)
-        assert fidelity(projector(plus), np.eye(2) / 2) == pytest.approx(want, abs=1e-12)
+        assert _fidelity_eig(projector(plus), np.eye(2) / 2) == pytest.approx(want, abs=1e-12)
         assert pure_fidelity(plus, np.eye(2) / 2) == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_symmetry(self, rng, dim):
         rho = random_density(rng, dim)
         sigma = random_density(rng, dim)
-        assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) < 1e-9
+        assert abs(_fidelity_eig(rho, sigma) - _fidelity_eig(sigma, rho)) < 1e-9
 
     def test_unitary_invariance(self, rng):
         rho = random_density(rng, 4)
         sigma = random_density(rng, 4)
         u = random_unitary(rng, 4)
-        before = fidelity(rho, sigma)
-        after = fidelity(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)
+        before = _fidelity_eig(rho, sigma)
+        after = _fidelity_eig(u @ rho @ u.conj().T, u @ sigma @ u.conj().T)
         assert abs(before - after) < 1e-9
 
     def test_pure_shortcut_agrees_with_general_path(self, rng):
@@ -157,27 +75,13 @@ class TestFidelity:
             v = g.standard_normal(4) + 1j * g.standard_normal(4)
             v /= np.linalg.norm(v)
             sigma = random_density(rng, 4)
-            assert abs(fidelity(projector(v), sigma) - pure_fidelity(v, sigma)) < 1e-10
+            assert abs(_fidelity_eig(projector(v), sigma) - pure_fidelity(v, sigma)) < 1e-10
+            psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            psi /= np.linalg.norm(psi)
+            assert abs(_fidelity_eig(projector(v), projector(psi)) - pure_fidelity(v, psi)) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            fidelity(np.eye(2) / 2, np.eye(3) / 3)
-
-
-class TestValidateDensityOperator:
-    def test_accepts_valid(self, rng):
-        validate_density_operator(random_density(rng, 5))
-
-    def test_rejects_bad_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            validate_density_operator(np.eye(2))
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.5, 0.5], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            validate_density_operator(m)
-
-    def test_rejects_negative_eigenvalue(self):
-        m = np.array([[1.2, 0.0], [0.0, -0.2]])
-        with pytest.raises(ValueError, match="eigenvalue"):
-            validate_density_operator(m)
+            pure_fidelity(basis_state(2, 0), np.eye(3) / 3)
+        with pytest.raises(ValueError, match="mismatch"):
+            pure_fidelity(basis_state(2, 0), basis_state(3, 0))

@@ -1,15 +1,12 @@
-import json
-
 import numpy as np
 import pytest
 
 from qudit_teleport.measurement import (
     GENERAL,
     QUTRIT_ALT,
-    CrystalOperator,
-    certify_measurement_set,
     crystal_operator,
-    measurement_operator,
+    measurement_row,
+    measurement_rows,
     povm_elements,
     qft,
 )
@@ -95,27 +92,29 @@ class TestQft:
 
 
 class TestMeasurementOperator:
+    """M_(i,m) = |i><i| QFT M_m, represented by its one nonzero row."""
+
     def test_d2_hand_multiplied_row(self):
-        got = measurement_operator(2, 0, 0).matrix
-        want = np.zeros((2, 4), dtype=complex)
-        want[0] = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        np.testing.assert_allclose(got, want, atol=1e-15)
+        want = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        np.testing.assert_allclose(measurement_row(2, 0, 0), want, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_single_row_and_rank_one(self, d):
+        rows = measurement_rows(d)
         for i in range(d):
             for m in range(d):
-                mat = measurement_operator(d, i, m).matrix
-                nz_rows = np.flatnonzero(np.abs(mat).sum(axis=1) > 0)
+                full = np.diag(np.eye(d)[i]) @ qft(d) @ crystal_operator(d, m).matrix
+                nz_rows = np.flatnonzero(np.abs(full).sum(axis=1) > 0)
                 np.testing.assert_array_equal(nz_rows, [i])
-                assert np.linalg.matrix_rank(mat) == 1
+                np.testing.assert_allclose(measurement_row(d, i, m), full[i], atol=1e-15)
+                np.testing.assert_array_equal(rows[i * d + m], measurement_row(d, i, m))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_unit_squared_entry_sum(self, d):
         for i in range(d):
             for m in range(d):
-                mat = measurement_operator(d, i, m).matrix
-                assert abs(np.sum(np.abs(mat) ** 2) - 1.0) < 1e-12
+                row = measurement_row(d, i, m)
+                assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
 
 
 class TestPovmElements:
@@ -141,44 +140,23 @@ class TestPovmElements:
             assert np.min(np.linalg.eigvalsh(el)) > -1e-10
 
 
+def assert_complete_partition(d, convention=GENERAL):
+    ops = [crystal_operator(d, m, convention).matrix for m in range(d)]
+    total = sum(op.conj().T @ op for op in ops)
+    assert np.max(np.abs(total - np.eye(d * d))) <= 1e-12
+    hits = sum((np.abs(op) > 0).sum(axis=0) for op in ops)
+    assert np.all(hits == 1)  # accepted pairs partition the basis
+    for op in ops:
+        assert np.max(np.abs(op @ op.conj().T - np.eye(d))) <= 1e-15
+
+
 class TestCertification:
     def test_d2_set(self):
-        report = certify_measurement_set([crystal_operator(2, m) for m in range(2)])
-        assert report.completeness_residual <= 1e-15
-        assert report.partition_valid
-        assert all(p["row_orthonormality_residual"] <= 1e-15 for p in report.per_operator)
+        assert_complete_partition(2)
 
     @pytest.mark.parametrize("d", [3, 4, 5, 8])
     def test_general_convention(self, d):
-        report = certify_measurement_set([crystal_operator(d, m) for m in range(d)])
-        assert report.completeness_residual <= 1e-12
-        assert report.partition_valid
+        assert_complete_partition(d)
 
     def test_qutrit_alt_set(self):
-        report = certify_measurement_set(
-            [crystal_operator(3, m, QUTRIT_ALT) for m in range(3)]
-        )
-        assert report.completeness_residual <= 1e-12
-        assert report.partition_valid
-
-    def test_corrupted_set_flagged(self):
-        ops = [crystal_operator(2, m) for m in range(2)]
-        bad = ops[1].matrix.copy()
-        bad[0, 1] = 0.0  # zero one accepted pair
-        corrupted = CrystalOperator(d=2, m=1, convention=GENERAL, matrix=bad)
-        report = certify_measurement_set([ops[0], corrupted])
-        assert not report.partition_valid
-        assert report.completeness_residual > 0.5
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            certify_measurement_set([crystal_operator(2, 0), crystal_operator(3, 0)])
-
-    def test_json_serializable(self):
-        report = certify_measurement_set([crystal_operator(3, m) for m in range(3)])
-        data = json.loads(report.to_json())
-        assert data["dimension"] == 3
-        assert data["convention"] == GENERAL
-        assert data["partition_valid"] is True
-        assert len(data["per_operator"]) == 3
-        assert {"m", "row_orthonormality_residual"} <= set(data["per_operator"][0])
+        assert_complete_partition(3, QUTRIT_ALT)

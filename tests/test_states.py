@@ -115,6 +115,11 @@ class TestStateFile:
         with pytest.raises(ValueError):
             parse_state_text("2\n1 0\nfoo bar\n")
 
+    @pytest.mark.parametrize("line", ["nan 0", "0 inf", "-inf 1"])
+    def test_non_finite_amplitude_rejected(self, line):
+        with pytest.raises(ValueError, match="amplitude line 2 is not finite"):
+            parse_state_text(f"2\n1 0\n{line}\n")
+
     def test_load_roundtrip(self, tmp_path):
         p = tmp_path / "state.txt"
         p.write_text("3\n1 0\n1 0\n1 0\n")
