@@ -33,7 +33,6 @@ from .measurement import (
 from .protocol import (
     DERIVED_EXACT,
     PAPER_WEYL,
-    CorrectionError,
     CorrectionTable,
     OutcomeRecord,
     ProtocolConfig,
@@ -41,7 +40,6 @@ from .protocol import (
     compose_initial,
     derived_exact_correction,
     enumerate_outcomes,
-    find_correction,
     inversion,
     run_protocol,
     weyl_correction,

@@ -99,24 +99,19 @@ def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
         raise ValueError(f"flip probability {p} outside [0, 1]")
     if variant not in VARIANTS:
         raise ValueError(f"unknown noise variant {variant!r}")
-    ops: list[np.ndarray] = []
-    if variant in (SHIFT, PHASE):
-        keep = 1.0 - (d - 1) * p / d
-        if keep > 0.0:
-            ops.append(np.sqrt(keep) * np.eye(d, dtype=complex))
-        if p > 0.0:
-            for idx in range(1, d):
-                U = weyl(d, 0, idx) if variant == SHIFT else weyl(d, idx, 0)
-                ops.append(np.sqrt(p / d) * U)
+    # each listed Weyl operator U_(i,m) carries weight p / n; the identity keeps the rest
+    if variant == SHIFT:
+        labels, n = [(0, k) for k in range(1, d)], d
+    elif variant == PHASE:
+        labels, n = [(k, 0) for k in range(1, d)], d
     else:
-        keep = 1.0 - (d * d - 1) * p / (d * d)
-        if keep > 0.0:
-            ops.append(np.sqrt(keep) * np.eye(d, dtype=complex))
-        if p > 0.0:
-            for i in range(d):
-                for m in range(d):
-                    if (i, m) != (0, 0):
-                        ops.append(np.sqrt(p / (d * d)) * weyl(d, i, m))
+        labels, n = [(i, m) for i in range(d) for m in range(d) if (i, m) != (0, 0)], d * d
+    ops: list[np.ndarray] = []
+    keep = 1.0 - len(labels) * p / n
+    if keep > 0.0:
+        ops.append(np.sqrt(keep) * np.eye(d, dtype=complex))
+    if p > 0.0:
+        ops.extend(np.sqrt(p / n) * weyl(d, i, m) for i, m in labels)
     return KrausChannel(d=d, operators=tuple(ops), label=f"{variant}(d={d},p={p:g})")
 
 

@@ -44,6 +44,8 @@ CSV_HEADER = (
 DEFAULT_DIMS = (2, 3, 4, 5, 8)
 DEFAULT_P_GRID = "0:1:0.1"
 RUNTIME_WARN_DIM = 8
+# A start:end:step grid is built point by point, so its size is capped.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,13 @@ def _grid_values(text: str) -> tuple[float, ...]:
         return (start,)
     if step == 0:
         raise ValueError("p-grid step must be positive for a nonempty range")
-    n = round((end - start) / step)
+    steps = (end - start) / step
+    # round(steps) + 1 points; steps is inf when step underflows the range
+    if steps >= MAX_GRID_POINTS - 0.5:
+        raise ValueError(
+            f"p-grid {text!r} has {steps + 1:.0f} points, more than the limit of {MAX_GRID_POINTS}"
+        )
+    n = round(steps)
     if abs(start + n * step - end) > GRID_TOL:
         raise ValueError(f"p-grid step {step} does not divide the range [{start}, {end}]")
     return tuple(start + k * step for k in range(n + 1))

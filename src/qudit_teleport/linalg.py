@@ -20,11 +20,11 @@ __all__ = [
 # analytically zero: they are dropped or left unscored.
 WEIGHT_FLOOR = 1e-24
 # Quantities exact up to a few ulps: Kraus completeness, state normalization,
-# the zero-vector check, the correction search tie-break, p-grid edges.
+# the zero-vector check, p-grid edges.
 EXACT_TOL = 1e-12
 # Quantities that accumulate round-off over a sum or product: weight
 # conservation, the outcome probability sum, unitarity, input normalization,
-# the eigenvalue clamp, the unit-fidelity check.
+# the eigenvalue clamp.
 ROUNDOFF_TOL = 1e-10
 # The p-grid step must divide the range to within this.
 GRID_TOL = 1e-9

@@ -121,9 +121,4 @@ def measurement_row(d: int, i: int, m: int, convention: str = GENERAL) -> np.nda
 
 def povm_elements(d: int, convention: str = GENERAL) -> list[np.ndarray]:
     """The d^2 POVM elements M_(i,m)^dag M_(i,m), ordered by (i, m)."""
-    out = []
-    for i in range(d):
-        for m in range(d):
-            row = measurement_row(d, i, m, convention)
-            out.append(np.outer(row.conj(), row))
-    return out
+    return [np.outer(row.conj(), row) for row in measurement_rows(d, convention)]

@@ -17,9 +17,11 @@ Correction schemes
                    noiseless outcome; reduces to ``paper-weyl`` at d = 2
                    where INV is the identity.
 
-``find_correction`` is the brute-force search that certifies these tables:
-it scans all 2 d^2 candidates {U_(i',m')} and {U_(i',m') INV} against seeded
-probe states and returns the best performer.
+For any other crystal wiring, ``derived-exact`` reads the correction off the
+measurement row. With the (0, 0) pair, outcome (i, m) leaves the receiver
+R^T phi / sqrt(d), where R is the row reshaped to d x d. Every row is a
+monomial matrix with entries of modulus 1/sqrt(d), so sqrt(d) conj(R) undoes
+it exactly.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ from .channels import (
     product_channel,
     weyl,
 )
-from .linalg import EXACT_TOL, ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
-from .measurement import GENERAL, measurement_row, measurement_rows
-from .states import bell_state, is_normalized, random_pure_state
+from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
+from .measurement import GENERAL, measurement_rows
+from .states import bell_state, is_normalized
 
 __all__ = [
     "PAPER_WEYL",
     "DERIVED_EXACT",
-    "CorrectionError",
     "CorrectionTable",
     "OutcomeRecord",
     "ProtocolConfig",
@@ -55,18 +56,11 @@ __all__ = [
     "enumerate_outcomes",
     "weyl_correction",
     "derived_exact_correction",
-    "find_correction",
     "run_protocol",
 ]
 
 PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
-
-PROBE_COUNT = 20
-
-
-class CorrectionError(RuntimeError):
-    """No unit-fidelity correction exists in the search group."""
 
 
 def inversion(d: int) -> np.ndarray:
@@ -161,69 +155,17 @@ def weyl_correction(d: int, i: int, m: int) -> np.ndarray:
     return weyl(d, i, m)
 
 
-def _probe_states(d: int) -> list[np.ndarray]:
-    return [random_pure_state(d, seed) for seed in range(PROBE_COUNT)]
-
-
-def _noiseless_receiver(d: int, i: int, m: int, convention: str, phi: np.ndarray) -> np.ndarray:
-    psi = compose_initial(phi, bell_state(d, (0, 0)))
-    recv = measurement_row(d, i, m, convention) @ psi.reshape(d * d, d)
-    return recv / np.linalg.norm(recv)
-
-
-def find_correction(
-    d: int, i: int, m: int, convention: str = GENERAL
-) -> tuple[np.ndarray, float]:
-    """Exhaustive correction search for one outcome.
-
-    Scans the 2 d^2 candidates {U_(i',m')} then {U_(i',m') INV} in
-    lexicographic (uses_inversion, i', m') order, scoring each by mean
-    fidelity of the corrected noiseless receiver state over the fixed probe
-    set. Ties within 1e-12 keep the earlier candidate, so the result is
-    deterministic. Always returns the best candidate and its fidelity.
-    """
-    probes = _probe_states(d)
-    received = [_noiseless_receiver(d, i, m, convention, phi) for phi in probes]
-    inv = inversion(d)
-    best_u: np.ndarray | None = None
-    best_fid = -1.0
-    for use_inv in (False, True):
-        for ii in range(d):
-            for mm in range(d):
-                u = weyl(d, ii, mm) @ inv if use_inv else weyl(d, ii, mm)
-                fid = float(
-                    np.mean([abs(np.vdot(phi, u @ r)) for phi, r in zip(probes, received)])
-                )
-                if fid > best_fid + EXACT_TOL:
-                    best_fid = fid
-                    best_u = u
-    assert best_u is not None
-    return best_u, best_fid
-
-
 def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) -> np.ndarray:
     """Unit-fidelity correction unitary for one noiseless outcome.
 
     For the general convention this is U_((-i) mod d, m) INV in closed form.
-    For alternate conventions the unitary is recovered by ``find_correction``
-    and cached read-only; CorrectionError is raised when the search group
-    contains no unit-fidelity candidate.
+    For other conventions it is sqrt(d) conj(R), R the outcome's measurement
+    row reshaped to d x d, which inverts the R^T / sqrt(d) the outcome
+    applies to the receiver. Each call returns a fresh array.
     """
     if convention == GENERAL:
         return weyl(d, (-i) % d, m) @ inversion(d)
-    return _searched_correction(d, i, m, convention)
-
-
-@lru_cache(maxsize=64)
-def _searched_correction(d: int, i: int, m: int, convention: str) -> np.ndarray:
-    u, fid = find_correction(d, i, m, convention)
-    if fid < 1.0 - ROUNDOFF_TOL:
-        raise CorrectionError(
-            f"no unit-fidelity correction for outcome (i={i}, m={m}) under "
-            f"{convention!r}; best candidate reaches {fid:.12f}"
-        )
-    u.setflags(write=False)
-    return u
+    return np.sqrt(d) * measurement_rows(d, convention)[i * d + m].reshape(d, d).conj()
 
 
 @dataclass
@@ -235,6 +177,8 @@ class CorrectionTable:
 
     def __post_init__(self):
         for (i, m), u in self.entries.items():
+            if not (0 <= i < self.d and 0 <= m < self.d):
+                raise ValueError(f"outcome ({i}, {m}) out of range for dimension {self.d}")
             if u.shape != (self.d, self.d):
                 raise ValueError(f"correction for ({i}, {m}) has shape {u.shape}")
             if np.max(np.abs(u @ u.conj().T - np.eye(self.d))) > ROUNDOFF_TOL:
@@ -336,24 +280,25 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     if not is_normalized(phi, tol=ROUNDOFF_TOL):
         raise ValueError("input state is not normalized")
 
+    if config.noise_mode not in (INDEPENDENT, CORRELATED):
+        raise ValueError(f"unknown noise mode {config.noise_mode!r}")
+    if isinstance(config.correction, CorrectionTable) and config.correction.d != d:
+        raise ValueError(
+            f"correction table has dimension {config.correction.d}, the run has dimension {d}"
+        )
+
     psi0 = compose_initial(phi, bell_state(d, config.bell_label))
     branches: list[tuple[float, np.ndarray]] = [(1.0, psi0)]
 
     a1, a2 = config.noise_a1, config.noise_a2
-    if a1 is not None and a2 is not None:
-        if config.noise_mode == INDEPENDENT:
-            # Independent product == sequential application on disjoint targets.
-            branches = apply_channel_to_branches(a1, branches, (d, d, d), 0)
-            branches = apply_channel_to_branches(a2, branches, (d, d, d), 1)
-        elif config.noise_mode == CORRELATED:
-            pair = product_channel(a1, a2, CORRELATED)
-            branches = apply_channel_to_branches(pair, branches, (d * d, d), 0)
-        else:
-            raise ValueError(f"unknown noise mode {config.noise_mode!r}")
-    elif a1 is not None:
-        branches = apply_channel_to_branches(a1, branches, (d, d, d), 0)
-    elif a2 is not None:
-        branches = apply_channel_to_branches(a2, branches, (d, d, d), 1)
+    if config.noise_mode == CORRELATED and a1 is not None and a2 is not None:
+        pair = product_channel(a1, a2, CORRELATED)
+        branches = apply_channel_to_branches(pair, branches, (d * d, d), 0)
+    else:
+        # An independent product acts as a1 then a2 on disjoint targets.
+        for target, channel in enumerate((a1, a2)):
+            if channel is not None:
+                branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
 
     records = enumerate_outcomes(d, branches, config.convention)
 

@@ -5,6 +5,7 @@ import pytest
 
 from qudit_teleport.cli import (
     CSV_HEADER,
+    MAX_GRID_POINTS,
     InputSpec,
     SweepConfig,
     SweepResult,
@@ -38,6 +39,11 @@ class TestParsePGrid:
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_p_grid("0-1-0.1")
+
+    def test_point_count_capped(self):
+        assert len(parse_p_grid("0:0.999999:0.000001")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="has 1000001 points"):
+            parse_p_grid("0:1:0.000001")
 
 
 class TestParseCli:
@@ -144,6 +150,18 @@ class TestParseCli:
         from_file = parse_cli(["--config", str(cfg_path)]).p_grid
         from_flag = parse_cli(["--p-grid", "1.0000000000001:1.0000000000001:1"]).p_grid
         assert from_file == from_flag == (1.0,)
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-12", "0:1:5e-324"])
+    def test_oversized_p_grid_exits_2(self, tmp_path, capsys, grid):
+        # rejected from the point count, before any point is built
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"p_grid": grid}))
+        for argv in (["--p-grid", grid], ["--config", str(cfg_path)]):
+            with pytest.raises(SystemExit) as exc:
+                parse_cli(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"more than the limit of {MAX_GRID_POINTS}" in err
 
     def test_missing_config_file_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudit_teleport.channels import PHASE, SHIFT, WEYL, crosstalk_channel, weyl
-from qudit_teleport.measurement import GENERAL, QUTRIT_ALT
+from qudit_teleport.measurement import GENERAL, QUTRIT_ALT, measurement_row
 from qudit_teleport.protocol import (
     DERIVED_EXACT,
     PAPER_WEYL,
@@ -11,7 +13,6 @@ from qudit_teleport.protocol import (
     compose_initial,
     derived_exact_correction,
     enumerate_outcomes,
-    find_correction,
     inversion,
     run_protocol,
     weyl_correction,
@@ -28,6 +29,44 @@ ISY = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 def phases_equal(a, b, atol=1e-12):
     return np.allclose(strip_global_phase(a), strip_global_phase(b), atol=atol)
+
+
+def assert_equal_up_to_phase(u, v, atol=1e-10):
+    ratio = u @ v.conj().T
+    phase = ratio[0, 0]
+    assert abs(abs(phase) - 1) < atol
+    np.testing.assert_allclose(ratio, phase * np.eye(len(u)), atol=atol)
+
+
+def noiseless_receiver(d, i, m, convention, phi):
+    psi = compose_initial(phi, bell_state(d, (0, 0)))
+    recv = measurement_row(d, i, m, convention) @ psi.reshape(d * d, d)
+    return recv / np.linalg.norm(recv)
+
+
+def find_correction(d, i, m, convention=GENERAL):
+    """Reference correction search for one outcome, independent of the derivation.
+
+    Scans the 2 d^2 candidates {U_(i',m')} then {U_(i',m') INV} in
+    lexicographic (uses_inversion, i', m') order, scoring each by mean
+    fidelity of the corrected noiseless receiver state over 20 seeded probe
+    states. Ties within 1e-12 keep the earlier candidate, so the result is
+    deterministic. Returns the best candidate and its fidelity.
+    """
+    probes = [random_pure_state(d, seed) for seed in range(20)]
+    received = [noiseless_receiver(d, i, m, convention, phi) for phi in probes]
+    inv = inversion(d)
+    best_u, best_fid = None, -1.0
+    for use_inv in (False, True):
+        for ii in range(d):
+            for mm in range(d):
+                u = weyl(d, ii, mm) @ inv if use_inv else weyl(d, ii, mm)
+                fid = float(
+                    np.mean([abs(np.vdot(phi, u @ r)) for phi, r in zip(probes, received)])
+                )
+                if fid > best_fid + 1e-12:
+                    best_fid, best_u = fid, u
+    return best_u, best_fid
 
 
 class TestComposeInitial:
@@ -144,7 +183,7 @@ class TestDerivedExactCorrection:
                     assert abs(fid - 1) < 1e-10
 
     def test_qutrit_alt_corrections_exist_for_all_outcomes(self):
-        # search-backed: every alternate-wiring outcome has an exact fix
+        # the search certifies that every alternate-wiring outcome has an exact fix
         for i in range(3):
             for m in range(3):
                 u = derived_exact_correction(3, i, m, QUTRIT_ALT)
@@ -152,12 +191,31 @@ class TestDerivedExactCorrection:
                 assert fid >= 1 - 1e-10
                 np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
 
-    def test_cached_correction_is_read_only(self):
+    def test_caller_write_does_not_corrupt_corrections(self):
         u = derived_exact_correction(3, 1, 2, QUTRIT_ALT)
-        with pytest.raises(ValueError, match="read-only"):
-            u[:] = 0
+        u[:] = 0
         again = derived_exact_correction(3, 1, 2, QUTRIT_ALT)
         np.testing.assert_allclose(again @ again.conj().T, np.eye(3), atol=1e-12)
+        res = run_protocol(
+            ProtocolConfig(d=3, input_state=random_pure_state(3, 5), convention=QUTRIT_ALT)
+        )
+        assert abs(res.average_fidelity - 1) < 1e-10
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        outcome=st.integers(2, 16).flatmap(
+            lambda d: st.tuples(st.just(d), st.integers(0, d - 1), st.integers(0, d - 1))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_derivation_inverts_receiver(self, outcome, seed):
+        # sqrt(d) conj(R) undoes the R^T / sqrt(d) that outcome (i, m) applies
+        d, i, m = outcome
+        phi = random_pure_state(d, seed)
+        u = np.sqrt(d) * measurement_row(d, i, m).reshape(d, d).conj()
+        recv = noiseless_receiver(d, i, m, GENERAL, phi)
+        assert abs(abs(np.vdot(phi, u @ recv)) - 1) < 1e-10
+        assert_equal_up_to_phase(u, derived_exact_correction(d, i, m))
 
 
 class TestFindCorrection:
@@ -177,17 +235,16 @@ class TestFindCorrection:
         np.testing.assert_array_equal(u1, u2)
         assert f1 == f2
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_agrees_with_closed_form(self, d):
+    @pytest.mark.parametrize(
+        "d,convention", [(2, GENERAL), (3, GENERAL), (3, QUTRIT_ALT)], ids=["2", "3", "3-qutrit-alt"]
+    )
+    def test_agrees_with_closed_form(self, d, convention):
         for i in range(d):
             for m in range(d):
-                u, fid = find_correction(d, i, m)
+                u, fid = find_correction(d, i, m, convention)
                 assert fid >= 1 - 1e-10
-                want = derived_exact_correction(d, i, m)
                 # both reach fidelity 1, so they can differ by a global phase
-                ratio = (u @ np.linalg.inv(want)).diagonal()
-                assert np.allclose(np.abs(ratio), 1, atol=1e-10)
-                assert np.allclose(ratio, ratio[0], atol=1e-10)
+                assert_equal_up_to_phase(u, derived_exact_correction(d, i, m, convention))
 
 
 class TestRunProtocol:
@@ -237,6 +294,31 @@ class TestRunProtocol:
         shifted = weyl(d, 0, s) @ phi
         for rec in res.records:
             assert abs(abs(np.vdot(shifted, rec.receiver_state)) - 1) < 1e-10
+
+    @pytest.mark.parametrize("targets", ["none", "a1", "a2", "a1a2"])
+    def test_unknown_noise_mode_rejected(self, targets):
+        ch = crosstalk_channel(3, 0.3, WEYL)
+        config = ProtocolConfig(
+            d=3,
+            input_state=uniform_state(3),
+            noise_a1=ch if "a1" in targets else None,
+            noise_a2=ch if "a2" in targets else None,
+            noise_mode="bogus",
+        )
+        with pytest.raises(ValueError, match="unknown noise mode 'bogus'"):
+            run_protocol(config)
+
+    def test_correction_table_dimension_mismatch_rejected(self):
+        table = CorrectionTable(
+            d=2, entries={(i, m): weyl_correction(2, i, m) for i in range(2) for m in range(2)}
+        )
+        with pytest.raises(ValueError, match="dimension 2, the run has dimension 3"):
+            run_protocol(ProtocolConfig(d=3, input_state=uniform_state(3), correction=table))
+
+    @pytest.mark.parametrize("key", [(5, 7), (-1, 0), (0, 2)])
+    def test_correction_table_key_out_of_range_rejected(self, key):
+        with pytest.raises(ValueError, match="out of range for dimension 2"):
+            CorrectionTable(d=2, entries={key: np.eye(2)})
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
