@@ -7,7 +7,6 @@ sender's qudits is modeled with Kraus channels and scored via state fidelity.
 """
 
 from .channels import (
-    CORRELATED,
     INDEPENDENT,
     PHASE,
     SHIFT,
@@ -17,7 +16,6 @@ from .channels import (
     KrausChannel,
     apply_channel_to_branches,
     crosstalk_channel,
-    product_channel,
     weyl,
 )
 from .cli import SweepConfig, SweepResult, SweepRow, emit, main, parse_cli, run_sweep

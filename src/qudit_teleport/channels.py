@@ -27,12 +27,10 @@ __all__ = [
     "WEYL",
     "VARIANTS",
     "INDEPENDENT",
-    "CORRELATED",
     "CompletenessError",
     "KrausChannel",
     "weyl",
     "crosstalk_channel",
-    "product_channel",
     "apply_channel_to_branches",
 ]
 
@@ -41,8 +39,8 @@ PHASE = "phase"
 WEYL = "weyl"
 VARIANTS = (SHIFT, PHASE, WEYL)
 
+# the one composition of the sender's two channels: a1, then a2
 INDEPENDENT = "independent"
-CORRELATED = "correlated"
 
 
 class CompletenessError(ValueError):
@@ -113,28 +111,6 @@ def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
     if p > 0.0:
         ops.extend(np.sqrt(p / n) * weyl(d, i, m) for i, m in labels)
     return KrausChannel(d=d, operators=tuple(ops), label=f"{variant}(d={d},p={p:g})")
-
-
-def product_channel(a: KrausChannel, b: KrausChannel, mode: str = INDEPENDENT) -> KrausChannel:
-    """Two-qudit channel from channels on the individual qudits.
-
-    ``independent`` takes all pairwise tensor products A_i x B_j, the channel
-    implied by independent noise. ``correlated`` index-locks the factors,
-    A_i x B_i; the result must still satisfy completeness, which fails for
-    generic pairs and raises CompletenessError.
-    """
-    if mode == INDEPENDENT:
-        ops = tuple(np.kron(x, y) for x in a.operators for y in b.operators)
-    elif mode == CORRELATED:
-        if len(a.operators) != len(b.operators):
-            raise ValueError(
-                f"correlated mode needs equal operator counts, got "
-                f"{len(a.operators)} and {len(b.operators)}"
-            )
-        ops = tuple(np.kron(x, y) for x, y in zip(a.operators, b.operators))
-    else:
-        raise ValueError(f"unknown product mode {mode!r}")
-    return KrausChannel(d=a.d * b.d, operators=ops, label=f"{mode}({a.label},{b.label})")
 
 
 def apply_channel_to_branches(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channels import INDEPENDENT, CORRELATED, VARIANTS, crosstalk_channel
+from .channels import INDEPENDENT, VARIANTS, crosstalk_channel
 from .linalg import EXACT_TOL, GRID_TOL
 from .protocol import DERIVED_EXACT, PAPER_WEYL, ProtocolConfig, run_protocol
 from .states import load_state, random_pure_state, uniform_state
@@ -35,11 +35,6 @@ __all__ = [
     "emit",
     "main",
 ]
-
-CSV_HEADER = (
-    "d,p,noise_variant,noise_mode,correction_scheme,input_spec,seed,"
-    "avg_fidelity,min_outcome_fidelity,runtime_ms,expected_trigger_probability"
-)
 
 DEFAULT_DIMS = (2, 3, 4, 5, 8)
 DEFAULT_P_GRID = "0:1:0.1"
@@ -72,7 +67,6 @@ class SweepConfig:
     p_grid: tuple[float, ...] = ()
     input_spec: InputSpec = field(default_factory=lambda: InputSpec(kind="uniform"))
     noise_variant: str = "weyl"
-    noise_mode: str = INDEPENDENT
     noise_targets: tuple[str, ...] = ("a1", "a2")
     correction_scheme: str = DERIVED_EXACT
     eta: float | None = None
@@ -83,6 +77,12 @@ class SweepConfig:
 
 @dataclass
 class SweepRow:
+    """One output row; its fields are the CSV and JSON columns, in order.
+
+    ``noise_mode`` always reads ``independent``, the one way the sender's two
+    channels compose; the column stays so that output files keep their layout.
+    """
+
     d: int
     p: float
     noise_variant: str
@@ -94,6 +94,10 @@ class SweepRow:
     min_outcome_fidelity: float
     runtime_ms: float
     expected_trigger_probability: float
+
+
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 @dataclass
@@ -227,7 +231,6 @@ def _choice(key: str, allowed: tuple[str, ...]):
     return parse
 
 
-NOISE_MODES = (INDEPENDENT, CORRELATED)
 CORRECTIONS = (PAPER_WEYL, DERIVED_EXACT)
 FORMATS = ("csv", "json")
 
@@ -238,7 +241,6 @@ _SETTINGS = {
     "p_grid": (parse_p_grid, DEFAULT_P_GRID),
     "input": (_parse_input, "uniform"),
     "noise": (_choice("noise", VARIANTS), "weyl"),
-    "noise_mode": (_choice("noise mode", NOISE_MODES), INDEPENDENT),
     "noise_targets": (_parse_targets, "a1,a2"),
     "correction": (_choice("correction", CORRECTIONS), DERIVED_EXACT),
     "eta": (_parse_eta, None),
@@ -262,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p-grid", metavar="S:E:STEP", help=f"inclusive probability grid (default {DEFAULT_P_GRID})")
     parser.add_argument("--input", metavar="SPEC", help="uniform | random:N:SEED | file:PATH (default uniform)")
     parser.add_argument("--noise", metavar=_metavar(VARIANTS), help="crosstalk variant (default weyl)")
-    parser.add_argument("--noise-mode", metavar=_metavar(NOISE_MODES), help="two-qudit composition (default independent)")
     parser.add_argument("--noise-targets", metavar="LIST", help="a1,a2 or a2 (default a1,a2)")
     parser.add_argument("--correction", metavar=_metavar(CORRECTIONS), help="correction scheme (default derived-exact)")
     parser.add_argument("--eta", help="upconversion efficiency in [0, 1], reporting only")
@@ -318,7 +319,6 @@ def parse_cli(argv: list[str] | None = None) -> SweepConfig:
         p_grid=values["p_grid"],
         input_spec=values["input"],
         noise_variant=values["noise"],
-        noise_mode=values["noise_mode"],
         noise_targets=values["noise_targets"],
         correction_scheme=values["correction"],
         eta=values["eta"],
@@ -364,7 +364,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         convention="general",
                         noise_a1=ch_a1,
                         noise_a2=ch_a2,
-                        noise_mode=config.noise_mode,
                         correction=config.correction_scheme,
                     )
                 )
@@ -374,7 +373,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         d=d,
                         p=p,
                         noise_variant=config.noise_variant,
-                        noise_mode=config.noise_mode,
+                        noise_mode=INDEPENDENT,
                         correction_scheme=config.correction_scheme,
                         input_spec=config.input_spec.label,
                         seed=seed,
@@ -392,14 +391,11 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in result.rows:
-            lines.append(
-                f"{r.d},{r.p:.12g},{r.noise_variant},{r.noise_mode},{r.correction_scheme},"
-                f"{r.input_spec},{r.seed},{r.avg_fidelity:.12g},{r.min_outcome_fidelity:.12g},"
-                f"{r.runtime_ms:.12g},{r.expected_trigger_probability:.12g}"
-            )
+            values = (getattr(r, name) for name in _COLUMNS)
+            lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in values))
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
-        rows = [{f.name: getattr(r, f.name) for f in fields(SweepRow)} for r in result.rows]
+        rows = [{name: getattr(r, name) for name in _COLUMNS} for r in result.rows]
         return (json.dumps(rows, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -32,14 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    CORRELATED,
-    INDEPENDENT,
-    KrausChannel,
-    apply_channel_to_branches,
-    product_channel,
-    weyl,
-)
+from .channels import INDEPENDENT, KrausChannel, apply_channel_to_branches, weyl
 from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
 from .measurement import GENERAL, measurement_rows
 from .states import bell_state, is_normalized
@@ -170,15 +163,19 @@ def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) 
 
 @dataclass
 class CorrectionTable:
-    """Explicit outcome-to-unitary map; every entry must be unitary."""
+    """Explicit outcome-to-unitary map over all d^2 outcomes; every entry must be unitary."""
 
     d: int
     entries: dict[tuple[int, int], np.ndarray]
 
     def __post_init__(self):
-        for (i, m), u in self.entries.items():
+        for i, m in self.entries:
             if not (0 <= i < self.d and 0 <= m < self.d):
                 raise ValueError(f"outcome ({i}, {m}) out of range for dimension {self.d}")
+        missing = [(i, m) for i in range(self.d) for m in range(self.d) if (i, m) not in self.entries]
+        if missing:
+            raise ValueError("no correction for outcome (i={}, m={})".format(*missing[0]))
+        for (i, m), u in self.entries.items():
             if u.shape != (self.d, self.d):
                 raise ValueError(f"correction for ({i}, {m}) has shape {u.shape}")
             if np.max(np.abs(u @ u.conj().T - np.eye(self.d))) > ROUNDOFF_TOL:
@@ -186,21 +183,18 @@ class CorrectionTable:
                     f"correction for ({i}, {m}) is not unitary within {ROUNDOFF_TOL:g}"
                 )
 
-    def matrix(self, i: int, m: int) -> np.ndarray:
-        try:
-            return self.entries[(i, m)]
-        except KeyError:
-            raise KeyError(f"no correction for outcome (i={i}, m={m})") from None
-
 
 @dataclass
 class ProtocolConfig:
     """Everything one teleportation run needs.
 
     ``noise_a1``/``noise_a2`` act on the sender's input qudit and entangled
-    qudit respectively; the receiver's qudit is never touched. With both
-    present, ``noise_mode`` selects the independent (all pairwise products)
-    or correlated (index-locked) two-qudit channel.
+    qudit respectively; the receiver's qudit is never touched. They compose
+    independently: a1 then a2, the all-pairwise-products channel.
+    ``noise_mode`` names that composition and accepts only ``independent``;
+    it stays so that callers that pass it keep working. An index-locked
+    product ``A_i (x) B_i`` is complete only when it reduces to this same
+    channel (see the README noise notes), so there is no second mode.
     """
 
     d: int
@@ -220,32 +214,6 @@ class ProtocolResult:
     average_fidelity: float
     min_outcome_fidelity: float
 
-    def to_dict(self) -> dict:
-        cfg = self.config
-        scheme = cfg.correction if isinstance(cfg.correction, str) else "custom"
-        return {
-            "config": {
-                "d": cfg.d,
-                "bell_label": list(cfg.bell_label),
-                "convention": cfg.convention,
-                "noise_a1": cfg.noise_a1.label if cfg.noise_a1 else None,
-                "noise_a2": cfg.noise_a2.label if cfg.noise_a2 else None,
-                "noise_mode": cfg.noise_mode,
-                "correction_scheme": scheme,
-            },
-            "outcomes": [
-                {
-                    "i": r.i,
-                    "m": r.m,
-                    "probability": r.probability,
-                    "fidelity": r.fidelity,
-                }
-                for r in self.records
-            ],
-            "average_fidelity": self.average_fidelity,
-            "min_outcome_fidelity": self.min_outcome_fidelity,
-        }
-
 
 @lru_cache(maxsize=32)
 def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, ...]:
@@ -262,7 +230,7 @@ def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, ...
 
 def _correction_matrix(config: ProtocolConfig, i: int, m: int) -> np.ndarray:
     if isinstance(config.correction, CorrectionTable):
-        return config.correction.matrix(i, m)
+        return config.correction.entries[(i, m)]
     return _scheme_table(config.d, config.correction, config.convention)[i * config.d + m]
 
 
@@ -280,7 +248,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     if not is_normalized(phi, tol=ROUNDOFF_TOL):
         raise ValueError("input state is not normalized")
 
-    if config.noise_mode not in (INDEPENDENT, CORRELATED):
+    if config.noise_mode != INDEPENDENT:
         raise ValueError(f"unknown noise mode {config.noise_mode!r}")
     if isinstance(config.correction, CorrectionTable) and config.correction.d != d:
         raise ValueError(
@@ -290,15 +258,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     psi0 = compose_initial(phi, bell_state(d, config.bell_label))
     branches: list[tuple[float, np.ndarray]] = [(1.0, psi0)]
 
-    a1, a2 = config.noise_a1, config.noise_a2
-    if config.noise_mode == CORRELATED and a1 is not None and a2 is not None:
-        pair = product_channel(a1, a2, CORRELATED)
-        branches = apply_channel_to_branches(pair, branches, (d * d, d), 0)
-    else:
-        # An independent product acts as a1 then a2 on disjoint targets.
-        for target, channel in enumerate((a1, a2)):
-            if channel is not None:
-                branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
+    # An independent product acts as a1 then a2 on disjoint targets.
+    for target, channel in enumerate((config.noise_a1, config.noise_a2)):
+        if channel is not None:
+            branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
 
     records = enumerate_outcomes(d, branches, config.convention)
 

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from qudit_teleport.channels import (
-    CORRELATED,
-    INDEPENDENT,
     PHASE,
     SHIFT,
     VARIANTS,
@@ -12,7 +10,6 @@ from qudit_teleport.channels import (
     KrausChannel,
     apply_channel_to_branches,
     crosstalk_channel,
-    product_channel,
     weyl,
 )
 from qudit_teleport.states import basis_state, uniform_state
@@ -116,35 +113,6 @@ class TestKrausChannelValidation:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             KrausChannel(d=2, operators=(np.eye(3, dtype=complex),))
-
-
-class TestProductChannel:
-    def test_identity_pair(self):
-        ch = product_channel(identity(2), identity(2))
-        assert len(ch.operators) == 1
-        np.testing.assert_array_equal(ch.operators[0], np.eye(4))
-
-    def test_independent_weight_bookkeeping(self):
-        p = 0.4
-        ch = product_channel(crosstalk_channel(2, p, SHIFT), crosstalk_channel(2, p, SHIFT))
-        # weight of sqrt(w) U is recovered as ||C||_F^2 / d
-        weights = sorted(np.sum(np.abs(op) ** 2).real / 4 for op in ch.operators)
-        want = sorted([(1 - p / 2) ** 2, (p / 2) * (1 - p / 2), (p / 2) * (1 - p / 2), (p / 2) ** 2])
-        np.testing.assert_allclose(weights, want, atol=1e-12)
-
-    def test_correlated_count_mismatch(self):
-        with pytest.raises(ValueError, match="count"):
-            product_channel(crosstalk_channel(2, 0.5, SHIFT), identity(2), CORRELATED)
-
-    def test_correlated_completeness_failure_raises(self):
-        a = crosstalk_channel(2, 0.5, SHIFT)
-        with pytest.raises(CompletenessError):
-            product_channel(a, a, CORRELATED)
-
-    def test_correlated_valid_at_p_zero(self):
-        a = crosstalk_channel(2, 0.0, SHIFT)
-        ch = product_channel(a, a, CORRELATED)
-        np.testing.assert_array_equal(ch.operators[0], np.eye(4))
 
 
 class TestApplyChannelToBranches:

@@ -53,7 +53,6 @@ class TestParseCli:
         assert len(cfg.p_grid) == 11
         assert cfg.input_spec.kind == "uniform"
         assert cfg.noise_variant == "weyl"
-        assert cfg.noise_mode == "independent"
         assert cfg.noise_targets == ("a1", "a2")
         assert cfg.correction_scheme == "derived-exact"
         assert cfg.eta is None
@@ -112,6 +111,16 @@ class TestParseCli:
         assert cfg.p_grid == (0.0,)
         assert cfg.noise_variant == "shift"  # flag beats file
         assert cfg.eta == pytest.approx(1.5e-8)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_noise_mode_setting_rejected(self, tmp_path, source):
+        # the sender's two channels always compose independently
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"noise_mode": "correlated"}))
+        argv = ["--noise-mode", "correlated"] if source == "flag" else ["--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--p-grid", "0:0:1"] + argv)
+        assert exc.value.code == 2
 
     def test_config_file_unknown_key_exits_2(self, tmp_path):
         cfg_path = tmp_path / "sweep.json"
@@ -215,15 +224,6 @@ class TestRunSweep:
         cfg = parse_cli(["--dims", "2", "--p-grid", "0:0:1", "--timing"])
         rows = run_sweep(cfg).rows
         assert rows[0].runtime_ms > 0.0
-
-    def test_correlated_crosstalk_fails_completeness(self):
-        # index-locked products of two flip channels no longer sum to the
-        # identity; the sweep surfaces that as a config-level error
-        from qudit_teleport.channels import CompletenessError
-
-        cfg = parse_cli(["--dims", "2", "--p-grid", "0.5:0.5:1", "--noise-mode", "correlated"])
-        with pytest.raises(CompletenessError):
-            run_sweep(cfg)
 
     def test_golden_p0_sweep_bytes(self):
         # frozen golden output: at p = 0 every fidelity rounds to 1 at 12

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qudit_teleport.channels import KrausChannel, product_channel
 from qudit_teleport.linalg import pure_fidelity
+from qudit_teleport.protocol import compose_initial
 from qudit_teleport.states import basis_state
 
-from conftest import random_density, random_unitary
+from conftest import random_complex_matrix, random_density, random_unitary
 from dm_reference import _fidelity_eig
 
 
@@ -30,10 +30,10 @@ class TestKron:
     """The package's Kronecker convention: the left factor is most significant."""
 
     def test_against_index_formula_oracle(self, rng):
-        a = random_unitary(rng, 2)
-        b = random_unitary(rng, 3)
-        pair = product_channel(KrausChannel(d=2, operators=(a,)), KrausChannel(d=3, operators=(b,)))
-        np.testing.assert_allclose(pair.operators[0], kron_oracle(a, b), atol=1e-14)
+        a = random_complex_matrix(rng, 3, 1)
+        b = random_complex_matrix(rng, 9, 1)
+        joint = compose_initial(a[:, 0], b[:, 0])
+        np.testing.assert_allclose(joint, kron_oracle(a, b)[:, 0], atol=1e-14)
 
 
 class TestFidelity:

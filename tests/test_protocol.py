@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qudit_teleport.channels import PHASE, SHIFT, WEYL, crosstalk_channel, weyl
+from qudit_teleport.channels import PHASE, SHIFT, WEYL, KrausChannel, crosstalk_channel, weyl
 from qudit_teleport.measurement import GENERAL, QUTRIT_ALT, measurement_row
 from qudit_teleport.protocol import (
-    DERIVED_EXACT,
     PAPER_WEYL,
     CorrectionTable,
     ProtocolConfig,
@@ -42,6 +41,13 @@ def noiseless_receiver(d, i, m, convention, phi):
     psi = compose_initial(phi, bell_state(d, (0, 0)))
     recv = measurement_row(d, i, m, convention) @ psi.reshape(d * d, d)
     return recv / np.linalg.norm(recv)
+
+
+def isometry_channel(d, n_ops, rng):
+    """Random channel: the d x d blocks of an (n_ops d) x d isometry."""
+    g = rng.standard_normal((n_ops * d, d)) + 1j * rng.standard_normal((n_ops * d, d))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(d=d, operators=tuple(q[k * d : (k + 1) * d] for k in range(n_ops)))
 
 
 def find_correction(d, i, m, convention=GENERAL):
@@ -295,17 +301,22 @@ class TestRunProtocol:
         for rec in res.records:
             assert abs(abs(np.vdot(shifted, rec.receiver_state)) - 1) < 1e-10
 
-    @pytest.mark.parametrize("targets", ["none", "a1", "a2", "a1a2"])
-    def test_unknown_noise_mode_rejected(self, targets):
-        ch = crosstalk_channel(3, 0.3, WEYL)
+    @pytest.mark.parametrize(
+        "targets,mode",
+        [("none", "bogus"), ("a1", "bogus"), ("a2", "bogus"), ("a1a2", "bogus"), ("a1a2", "correlated")],
+        ids=["none", "a1", "a2", "a1a2", "a1a2-correlated"],
+    )
+    def test_unknown_noise_mode_rejected(self, targets, mode):
+        # p = 0 would make an index-locked product complete; it is still rejected
+        ch = crosstalk_channel(3, 0.0 if mode == "correlated" else 0.3, WEYL)
         config = ProtocolConfig(
             d=3,
             input_state=uniform_state(3),
             noise_a1=ch if "a1" in targets else None,
             noise_a2=ch if "a2" in targets else None,
-            noise_mode="bogus",
+            noise_mode=mode,
         )
-        with pytest.raises(ValueError, match="unknown noise mode 'bogus'"):
+        with pytest.raises(ValueError, match=f"unknown noise mode '{mode}'"):
             run_protocol(config)
 
     def test_correction_table_dimension_mismatch_rejected(self):
@@ -319,6 +330,13 @@ class TestRunProtocol:
     def test_correction_table_key_out_of_range_rejected(self, key):
         with pytest.raises(ValueError, match="out of range for dimension 2"):
             CorrectionTable(d=2, entries={key: np.eye(2)})
+
+    def test_correction_table_missing_outcome_rejected(self):
+        with pytest.raises(ValueError, match=r"no correction for outcome \(i=0, m=1\)"):
+            CorrectionTable(d=2, entries={(0, 0): np.eye(2)})
+        entries = {(i, m): np.eye(3) for i in range(3) for m in range(3) if (i, m) != (2, 1)}
+        with pytest.raises(ValueError, match=r"no correction for outcome \(i=2, m=1\)"):
+            CorrectionTable(d=3, entries=entries)
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -387,24 +405,6 @@ class TestNoisyProtocol:
         want = np.sqrt((1 - (d - 1) * p / d) ** 2 + (d - 1) * p * p / d / d)
         assert abs(res.average_fidelity - want) < 1e-10
 
-    def test_independent_matches_product_channel_route(self):
-        from qudit_teleport.channels import INDEPENDENT, apply_channel_to_branches, product_channel
-
-        d, p = 2, 0.6
-        phi = random_pure_state(d, 17)
-        a1 = crosstalk_channel(d, p, WEYL)
-        a2 = crosstalk_channel(d, p, PHASE)
-        joint = compose_initial(phi, bell_state(d, (0, 0)))
-
-        seq = apply_channel_to_branches(a1, [(1.0, joint)], (d, d, d), 0)
-        seq = apply_channel_to_branches(a2, seq, (d, d, d), 1)
-        pair = product_channel(a1, a2, INDEPENDENT)
-        prod = apply_channel_to_branches(pair, [(1.0, joint)], (d * d, d), 0)
-
-        rho_seq = sum(w * np.outer(v, v.conj()) for w, v in seq)
-        rho_prod = sum(w * np.outer(v, v.conj()) for w, v in prod)
-        np.testing.assert_allclose(rho_seq, rho_prod, atol=1e-12)
-
 
 class TestAgainstDensityMatrixReference:
     @pytest.mark.parametrize("variant", [SHIFT, PHASE, WEYL])
@@ -420,22 +420,24 @@ class TestAgainstDensityMatrixReference:
         )
         assert abs(res.average_fidelity - avg_dm) < 1e-9
 
-
-class TestResultSerialization:
-    def test_to_dict_roundtrips_through_json(self):
-        import json
-
-        res = run_protocol(
-            ProtocolConfig(
-                d=2,
-                input_state=uniform_state(2),
-                noise_a2=crosstalk_channel(2, 0.2, WEYL),
-            )
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        n_ops=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_kraus_channels_match_per_outcome(self, d, n_ops, seed):
+        # two unrelated non-Weyl channels, one per sender qudit
+        assume(n_ops[0] != n_ops[1])
+        rng = np.random.default_rng(seed)
+        a1, a2 = (isometry_channel(d, n, rng) for n in n_ops)
+        phi = random_pure_state(d, seed)
+        res = run_protocol(ProtocolConfig(d=d, input_state=phi, noise_a1=a1, noise_a2=a2))
+        outcomes, avg_dm = run_protocol_dm(
+            d, phi, ops_a1=list(a1.operators), ops_a2=list(a2.operators)
         )
-        blob = json.loads(json.dumps(res.to_dict()))
-        assert blob["config"]["d"] == 2
-        assert blob["config"]["correction_scheme"] == DERIVED_EXACT
-        assert blob["config"]["noise_a2"].startswith("weyl")
-        assert len(blob["outcomes"]) == 4
-        assert {"i", "m", "probability", "fidelity"} <= set(blob["outcomes"][0])
-        assert 0 <= blob["average_fidelity"] <= 1 + 1e-9
+        for rec, (i, m, p, fid) in zip(res.records, outcomes, strict=True):
+            assert (rec.i, rec.m) == (i, m)
+            assert abs(rec.probability - p) < 1e-9
+            assert abs(rec.fidelity - fid) < 1e-9
+        assert abs(res.average_fidelity - avg_dm) < 1e-9
