@@ -15,6 +15,7 @@ generalized-Pauli (Weyl) operators; three variants are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +90,22 @@ class KrausChannel:
                 f"sum C^dag C deviates from identity by {residual:.3e} "
                 f"(channel {self.label or '<unlabeled>'})"
             )
+
+    @cached_property
+    def is_weyl(self) -> bool:
+        """True when every operator is a scaled Weyl operator c U_(i,m)."""
+        return all(_is_scaled_weyl(op) for op in self.operators)
+
+
+def _is_scaled_weyl(op: np.ndarray) -> bool:
+    # c U_(i,m) has c at row 0, column m and c w^i at row 1, column 1 + m
+    d = op.shape[0]
+    m = int(np.argmax(np.abs(op[0])))
+    c = op[0, m]
+    if abs(c) <= EXACT_TOL:
+        return bool(np.all(np.abs(op) <= EXACT_TOL))
+    i = round(float(np.angle(op[1 % d, (1 + m) % d] / c)) * d / (2 * np.pi)) % d
+    return bool(np.max(np.abs(op - c * weyl(d, i, m))) <= EXACT_TOL)
 
 
 def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:

@@ -6,7 +6,9 @@ Output is deterministic for a fixed configuration: rows are ordered by
 (d, p, seed) and the runtime column stays at 0 unless --timing is given, so
 identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 internal check
+failed (an invariant such as the outcome probability sum broke; a bug, not
+a bad input).
 """
 
 from __future__ import annotations
@@ -416,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 4
     data = emit(result, config.fmt)
     if config.out_path is None:
         sys.stdout.buffer.write(data)

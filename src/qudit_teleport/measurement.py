@@ -82,7 +82,7 @@ def crystal_operator(d: int, m: int, convention: str = GENERAL) -> CrystalOperat
         mat[out, a * d + b] = 1.0
     # d unit entries in distinct rows and columns make the rows orthonormal.
     if np.count_nonzero(mat) != d or not np.allclose(mat @ mat.conj().T, np.eye(d)):
-        raise AssertionError("crystal operator construction violated its invariants")
+        raise RuntimeError("crystal operator construction violated its invariants")
     return CrystalOperator(d=d, m=m, convention=convention, matrix=mat)
 
 

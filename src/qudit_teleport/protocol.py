@@ -22,6 +22,25 @@ measurement row. With the (0, 0) pair, outcome (i, m) leaves the receiver
 R^T phi / sqrt(d), where R is the row reshaped to d x d. Every row is a
 monomial matrix with entries of modulus 1/sqrt(d), so sqrt(d) conj(R) undoes
 it exactly.
+
+Engines
+-------
+Both engines produce the same uncorrected outcome records; ``run_protocol``
+then corrects and scores them in one place.
+
+branch        ``apply_channel_to_branches`` fans the joint ket out into one
+              weighted (A1, A2, B) ket per Kraus pair, and
+              ``enumerate_outcomes`` contracts every branch with every
+              measurement row. Used when the run is noiseless or every
+              configured channel holds only scaled Weyl operators
+              c U_(i,m) (``KrausChannel.is_weyl``).
+outcome map   any other channel. With Phi the Bell pair reshaped to d x d
+              (A2, B) and R_o outcome o's row reshaped to d x d (A1, A2),
+              Kraus pair (A_k, B_l) leaves the receiver the unnormalized
+              ket V_(o,k,l) = Phi^T B_l^T x_(o,k), x_(o,k) = R_o^T A_k phi.
+              The weights |V|^2 give p_o and the surviving pairs; no
+              d^3-amplitude branch ket is built. Outcomes are processed in
+              chunks of at most OUTCOME_CHUNK_BYTES of amplitudes.
 """
 
 from __future__ import annotations
@@ -54,6 +73,9 @@ __all__ = [
 
 PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
+
+# The outcome-map engine holds at most this many bytes of receiver kets at once.
+OUTCOME_CHUNK_BYTES = 16 * 2**20
 
 
 def inversion(d: int) -> np.ndarray:
@@ -140,6 +162,55 @@ def enumerate_outcomes(
             vecs = receivers[o, alive]
             state = np.einsum("b,bi,bj->ij", weights[alive] / p, vecs, vecs.conj())
         records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
+    return records
+
+
+def _outcome_map(
+    d: int,
+    phi: np.ndarray,
+    bell: np.ndarray,
+    ops_a1: Sequence[np.ndarray],
+    ops_a2: Sequence[np.ndarray],
+    convention: str,
+) -> list[OutcomeRecord]:
+    """The outcome table of ``enumerate_outcomes`` without the branch kets.
+
+    Pair (k, l) is ordered k * len(ops_a2) + l, as the fan-out orders its
+    branches.
+    """
+    x_in = np.stack(ops_a1) @ phi  # A_k phi, (K_a, d)
+    # B_l Phi laid out (A2, (l, B)): x @ b_out is V for every l at once
+    b_out = (np.stack(ops_a2) @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
+    pairs = x_in.shape[0] * len(ops_a2)
+    rows = measurement_rows(d, convention).reshape(d * d, d, d)
+    chunk = max(1, OUTCOME_CHUNK_BYTES // (pairs * d * np.dtype(complex).itemsize))
+
+    records = []
+    total = 0.0
+    for start in range(0, d * d, chunk):
+        x = x_in @ rows[start : start + chunk]  # x_(o,k) = R_o^T A_k phi
+        n = x.shape[0]
+        kets = (x.reshape(-1, d) @ b_out).reshape(n, pairs, d)
+        weights = np.einsum("opj,opj->op", kets, kets.conj()).real
+        probs = weights.sum(axis=1)
+        total += float(probs.sum())
+        # a mixed record sums k k^dag over the pairs above the weight floor
+        kets[weights <= WEIGHT_FLOOR] = 0.0
+        rhos = np.swapaxes(kets, 1, 2) @ kets.conj()
+        for j in range(n):
+            i, m = divmod(start + j, d)
+            p = float(probs[j])
+            alive = np.flatnonzero(weights[j] > WEIGHT_FLOOR)
+            if alive.size == 0:
+                state = np.zeros(d, dtype=complex)
+            elif alive.size == 1:
+                state = kets[j, alive[0]] / np.sqrt(weights[j, alive[0]])
+            else:
+                state = rhos[j] / p
+            records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
+    # the branch weight is 1: a unit input through complete channels
+    if abs(total - 1.0) > ROUNDOFF_TOL:
+        raise RuntimeError("outcome probabilities do not sum to the branch weight")
     return records
 
 
@@ -255,15 +326,24 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
             f"correction table has dimension {config.correction.d}, the run has dimension {d}"
         )
 
-    psi0 = compose_initial(phi, bell_state(d, config.bell_label))
-    branches: list[tuple[float, np.ndarray]] = [(1.0, psi0)]
+    noise = (config.noise_a1, config.noise_a2)
+    for target, channel in zip(("a1", "a2"), noise):
+        if channel is not None and channel.d != d:
+            raise ValueError(
+                f"{target} channel has dimension {channel.d}, the run has dimension {d}"
+            )
 
-    # An independent product acts as a1 then a2 on disjoint targets.
-    for target, channel in enumerate((config.noise_a1, config.noise_a2)):
-        if channel is not None:
-            branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
-
-    records = enumerate_outcomes(d, branches, config.convention)
+    bell = bell_state(d, config.bell_label)
+    if all(channel is None or channel.is_weyl for channel in noise):
+        branches: list[tuple[float, np.ndarray]] = [(1.0, compose_initial(phi, bell))]
+        # An independent product acts as a1 then a2 on disjoint targets.
+        for target, channel in enumerate(noise):
+            if channel is not None:
+                branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
+        records = enumerate_outcomes(d, branches, config.convention)
+    else:
+        ops = [(np.eye(d, dtype=complex),) if ch is None else ch.operators for ch in noise]
+        records = _outcome_map(d, phi, bell, *ops, config.convention)
 
     avg = 0.0
     min_fid = 1.0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qudit_teleport import cli
 from qudit_teleport.cli import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -318,6 +319,19 @@ class TestMain:
         state.write_text("2\n1 0\n0 1\n")
         rc = main(["--dims", "3", "--p-grid", "0:0:1", "--input", f"file:{state}"])
         assert rc == 2
+
+    def test_internal_check_failure_exits_4(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("outcome probabilities do not sum to the branch weight")
+
+        monkeypatch.setattr(cli, "run_protocol", broken)
+        rc = main(["--dims", "2", "--p-grid", "0:0:1"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed: outcome probabilities do not sum to the branch weight\n"
+        )
 
     def test_missing_input_file_exits_3(self, capsys):
         rc = main(["--dims", "2", "--p-grid", "0:0:1", "--input", "file:/nonexistent/state.txt"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qudit_teleport import measurement
 from qudit_teleport.measurement import (
     GENERAL,
     QUTRIT_ALT,
@@ -60,6 +61,12 @@ class TestCrystalOperator:
     def test_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
             crystal_operator(3, 0, "bogus")
+
+    def test_broken_wiring_raises_runtime_error(self, monkeypatch):
+        # two accepted pairs on one output path break the orthonormal rows
+        monkeypatch.setattr(measurement, "crystal_pairs", lambda d, m, c: [(0, 0, 0), (0, 1, 1)])
+        with pytest.raises(RuntimeError, match="invariants"):
+            crystal_operator(2, 0)
 
     @pytest.mark.parametrize("d", range(2, 17))
     def test_structure_invariants(self, d):

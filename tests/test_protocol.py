@@ -3,9 +3,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qudit_teleport.channels import PHASE, SHIFT, WEYL, KrausChannel, crosstalk_channel, weyl
-from qudit_teleport.measurement import GENERAL, QUTRIT_ALT, measurement_row
+from qudit_teleport import protocol
+from qudit_teleport.channels import (
+    PHASE,
+    SHIFT,
+    WEYL,
+    KrausChannel,
+    apply_channel_to_branches,
+    crosstalk_channel,
+    weyl,
+)
+from qudit_teleport.linalg import WEIGHT_FLOOR, pure_fidelity
+from qudit_teleport.measurement import GENERAL, QUTRIT_ALT, measurement_row, measurement_rows
 from qudit_teleport.protocol import (
+    DERIVED_EXACT,
     PAPER_WEYL,
     CorrectionTable,
     ProtocolConfig,
@@ -18,7 +29,7 @@ from qudit_teleport.protocol import (
 )
 from qudit_teleport.states import basis_state, bell_state, random_pure_state, uniform_state
 
-from conftest import strip_global_phase
+from conftest import random_unitary, strip_global_phase
 from dm_reference import run_protocol_dm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -338,6 +349,17 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match=r"no correction for outcome \(i=2, m=1\)"):
             CorrectionTable(d=3, entries=entries)
 
+    @pytest.mark.parametrize("target", ["a1", "a2"])
+    @pytest.mark.parametrize("noise", ["weyl", "isometry"])
+    def test_channel_dimension_mismatch_rejected(self, target, noise):
+        if noise == "weyl":
+            ch = crosstalk_channel(2, 0.3, WEYL)
+        else:
+            ch = isometry_channel(2, 2, np.random.default_rng(3))
+        config = ProtocolConfig(d=3, input_state=uniform_state(3), **{f"noise_{target}": ch})
+        with pytest.raises(ValueError, match=f"{target} channel has dimension 2, the run has dimension 3"):
+            run_protocol(config)
+
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             run_protocol(ProtocolConfig(d=2, input_state=np.array([1.0, 1.0])))
@@ -441,3 +463,201 @@ class TestAgainstDensityMatrixReference:
             assert abs(rec.probability - p) < 1e-9
             assert abs(rec.fidelity - fid) < 1e-9
         assert abs(res.average_fidelity - avg_dm) < 1e-9
+
+
+def branch_form_run(config):
+    """Corrected records through the branch engine, whatever run_protocol routes to.
+
+    Fans the joint ket out with ``apply_channel_to_branches``, enumerates
+    with ``enumerate_outcomes`` and corrects and scores each record as
+    ``run_protocol`` does.
+    """
+    d = config.d
+    phi = config.input_state
+    branches = [(1.0, compose_initial(phi, bell_state(d, config.bell_label)))]
+    for target, channel in enumerate((config.noise_a1, config.noise_a2)):
+        if channel is not None:
+            branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
+    records = []
+    for rec in enumerate_outcomes(d, branches, config.convention):
+        if rec.probability <= WEIGHT_FLOOR:
+            records.append(rec)
+            continue
+        if isinstance(config.correction, CorrectionTable):
+            u = config.correction.entries[(rec.i, rec.m)]
+        elif config.correction == PAPER_WEYL:
+            u = weyl_correction(d, rec.i, rec.m)
+        else:
+            u = derived_exact_correction(d, rec.i, rec.m, config.convention)
+        s = rec.receiver_state
+        state = u @ s if s.ndim == 1 else u @ s @ u.conj().T
+        records.append(type(rec)(rec.i, rec.m, rec.probability, state, pure_fidelity(phi, state)))
+    return records
+
+
+def as_density(state):
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
+
+
+def assert_records_match(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.i, a.m) == (b.i, b.m)
+        assert abs(a.probability - b.probability) <= tol
+        assert (a.fidelity is None) == (b.fidelity is None)
+        if a.fidelity is not None:
+            assert abs(a.fidelity - b.fidelity) <= tol
+        assert a.receiver_state.ndim == b.receiver_state.ndim
+        np.testing.assert_allclose(
+            as_density(a.receiver_state), as_density(b.receiver_state), rtol=0, atol=tol
+        )
+
+
+def count_branch_engine_calls(monkeypatch):
+    calls = []
+    original = protocol.enumerate_outcomes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "enumerate_outcomes", counted)
+    return calls
+
+
+class TestOutcomeMapEngine:
+    @pytest.mark.parametrize(
+        "noise",
+        [None, (SHIFT, "a1a2"), (PHASE, "a2"), (WEYL, "a1"), (WEYL, "a1a2"), "scaled-weyl"],
+        ids=["noiseless", "shift", "phase-a2", "weyl-a1", "weyl", "scaled-weyl"],
+    )
+    def test_weyl_and_noiseless_runs_use_branch_engine(self, monkeypatch, noise):
+        d = 3
+        if noise == "scaled-weyl":
+            ops = (0.6j * weyl(d, 1, 2), 0.8 * np.exp(1j) * weyl(d, 2, 0))
+            a1 = a2 = KrausChannel(d=d, operators=ops)
+        elif noise is None:
+            a1 = a2 = None
+        else:
+            ch = crosstalk_channel(d, 0.3, noise[0])
+            a1, a2 = (ch if t in noise[1] else None for t in ("a1", "a2"))
+        calls = count_branch_engine_calls(monkeypatch)
+        run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=a1, noise_a2=a2))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("targets", ["a1", "a2", "a1a2"])
+    def test_any_non_weyl_channel_uses_outcome_map(self, monkeypatch, targets):
+        d = 3
+        iso = isometry_channel(d, 2, np.random.default_rng(5))
+        weyl_ch = crosstalk_channel(d, 0.3, WEYL)
+        # one non-Weyl channel routes the run, even beside a Weyl one
+        a1 = iso if "a1" in targets else weyl_ch
+        a2 = iso if "a2" in targets else weyl_ch
+        calls = count_branch_engine_calls(monkeypatch)
+        run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=a1, noise_a2=a2))
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        n_a1=st.integers(1, 4),
+        extra=st.integers(1, 3),
+        targets=st.sampled_from(["a1", "a2", "a1a2"]),
+        scheme=st.sampled_from([DERIVED_EXACT, PAPER_WEYL, "table"]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_branch_form(self, d, n_a1, extra, targets, scheme, convention, data, seed):
+        if convention == QUTRIT_ALT:
+            d = 3
+        rng = np.random.default_rng(seed)
+        # unequal operator counts on the two sender qudits
+        a1 = isometry_channel(d, n_a1, rng) if "a1" in targets else None
+        a2 = isometry_channel(d, n_a1 + extra, rng) if "a2" in targets else None
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        correction = scheme
+        if scheme == "table":
+            entries = {(i, m): random_unitary(rng, d) for i in range(d) for m in range(d)}
+            correction = CorrectionTable(d=d, entries=entries)
+        phi = random_pure_state(d, seed)
+        config = ProtocolConfig(
+            d=d, input_state=phi, bell_label=label, convention=convention,
+            noise_a1=a1, noise_a2=a2, correction=correction,
+        )
+        res = run_protocol(config)
+        assert_records_match(res.records, branch_form_run(config))
+
+        if label == (0, 0) and scheme != "table":
+            outcomes, avg_dm = run_protocol_dm(
+                d, phi,
+                ops_a1=None if a1 is None else list(a1.operators),
+                ops_a2=None if a2 is None else list(a2.operators),
+                correction=scheme, convention=convention,
+            )
+            for rec, (i, m, p, fid) in zip(res.records, outcomes, strict=True):
+                assert (rec.i, rec.m) == (i, m)
+                assert abs(rec.probability - p) < 1e-9
+                assert abs(rec.fidelity - fid) < 1e-9
+            assert abs(res.average_fidelity - avg_dm) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_kets_and_unscored_outcomes_match_branch_form(self, d):
+        # a1 measured in the basis: only one Kraus pair survives, records stay kets
+        projectors = KrausChannel(d=d, operators=tuple(np.diag(np.eye(d)[k]) + 0j for k in range(d)))
+        # a2 reset to |0>: outcomes whose row misses a2 = 0 have probability 0
+        reset = KrausChannel(
+            d=d, operators=tuple(np.outer(np.eye(d)[0], np.eye(d)[k]) + 0j for k in range(d))
+        )
+        for a1, a2, kinds in [(projectors, None, {1}), (None, reset, {1, 2})]:
+            config = ProtocolConfig(d=d, input_state=basis_state(d, 0), noise_a1=a1, noise_a2=a2)
+            res = run_protocol(config)
+            assert_records_match(res.records, branch_form_run(config))
+            assert {r.receiver_state.ndim for r in res.records} == kinds
+        assert any(r.fidelity is None for r in res.records)
+
+    @pytest.mark.parametrize("budget", [1, 5 * 12 * 4 * 16])
+    def test_outcome_chunks_do_not_change_records(self, monkeypatch, budget):
+        # one outcome per chunk, then 5 outcomes (12 pairs of 4 amplitudes) per chunk
+        rng = np.random.default_rng(11)
+        d = 4
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, 11),
+            noise_a1=isometry_channel(d, 3, rng), noise_a2=isometry_channel(d, 4, rng),
+        )
+        whole = run_protocol(config)
+        monkeypatch.setattr(protocol, "OUTCOME_CHUNK_BYTES", budget)
+        assert_records_match(run_protocol(config).records, whole.records, tol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("p", [0.1, 0.37, 1.0])
+    def test_unitary_mixture_of_weyl_operators(self, d, p):
+        # A Kraus set mixed by a unitary is the same channel (Kraus unitary
+        # freedom) but holds no Weyl operator, so it runs on the outcome map.
+        weyl_ch = crosstalk_channel(d, p, WEYL)
+        ops = np.stack(weyl_ch.operators)
+        u = random_unitary(np.random.default_rng(d * 100 + round(p * 100)), len(ops))
+        mixed = KrausChannel(d=d, operators=tuple(np.tensordot(u, ops, axes=1)))
+        assert weyl_ch.is_weyl and not mixed.is_weyl
+        phi = uniform_state(d)
+        res_weyl = run_protocol(
+            ProtocolConfig(d=d, input_state=phi, noise_a1=weyl_ch, noise_a2=weyl_ch)
+        )
+        res_mixed = run_protocol(ProtocolConfig(d=d, input_state=phi, noise_a1=mixed, noise_a2=mixed))
+        assert_records_match(res_mixed.records, res_weyl.records)
+        want = np.sqrt((1 - (d - 1) * p / d) ** 2 + (d - 1) * (p / d) ** 2)
+        for res in (res_weyl, res_mixed):
+            assert abs(res.average_fidelity - want) < 1e-12
+            assert abs(res.min_outcome_fidelity - want) < 1e-12
+
+    @pytest.mark.parametrize("noise", ["weyl", "isometry"])
+    def test_probability_sum_checked_in_both_engines(self, monkeypatch, noise):
+        d = 3
+        if noise == "weyl":
+            ch = crosstalk_channel(d, 0.3, WEYL)
+        else:
+            ch = isometry_channel(d, 2, np.random.default_rng(7))
+        rows = 1.01 * measurement_rows(d, GENERAL)
+        monkeypatch.setattr(protocol, "measurement_rows", lambda d, convention: rows)
+        with pytest.raises(RuntimeError, match="probabilities do not sum"):
+            run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
