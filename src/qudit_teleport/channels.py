@@ -31,6 +31,7 @@ __all__ = [
     "CompletenessError",
     "KrausChannel",
     "weyl",
+    "weyl_phases",
     "crosstalk_channel",
     "apply_channel_to_branches",
 ]
@@ -48,6 +49,23 @@ class CompletenessError(ValueError):
     """The Kraus operators do not sum to the identity."""
 
 
+def weyl_phases(d: int) -> np.ndarray:
+    """The powers w^e, e = 0..d-1, of w = exp(2 pi i / d) that Weyl operators carry.
+
+    w^0 = 1 and, for even d, w^(d/2) = -1 are exact, so shifts, the
+    identity and their sign flips carry no round-off.
+    """
+    phases = np.empty(d, dtype=complex)
+    for e in range(d):
+        if e == 0:
+            phases[e] = 1.0
+        elif 2 * e == d:
+            phases[e] = -1.0
+        else:
+            phases[e] = np.exp(2j * np.pi * e / d)
+    return phases
+
+
 def weyl(d: int, i: int, m: int) -> np.ndarray:
     """Generalized Pauli operator U_(i,m) = sum_k w^(k i) |k><k+m mod d|.
 
@@ -56,16 +74,9 @@ def weyl(d: int, i: int, m: int) -> np.ndarray:
     """
     if not (0 <= i < d and 0 <= m < d):
         raise ValueError(f"weyl indices ({i}, {m}) out of range for dimension {d}")
+    k = np.arange(d)
     U = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        e = (k * i) % d
-        if e == 0:
-            phase = 1.0  # keep shifts and the identity exact
-        elif 2 * e == d:
-            phase = -1.0
-        else:
-            phase = np.exp(2j * np.pi * e / d)
-        U[k, (k + m) % d] = phase
+    U[k, (k + m) % d] = weyl_phases(d)[(k * i) % d]
     return U
 
 
@@ -165,7 +176,8 @@ def apply_channel_to_branches(
             raise ValueError(
                 f"branch state has dimension {psi.shape}, subsystems give {total}"
             )
-        in_weight += w
+        # the weight a branch carries is w ||psi||^2, which a complete channel keeps
+        in_weight += w * float(np.vdot(psi, psi).real)
         cube = psi.reshape(pre, channel.d, post)
         for op in channel.operators:
             new = np.einsum("ab,xbz->xaz", op, cube).reshape(-1)

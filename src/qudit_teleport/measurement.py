@@ -8,6 +8,16 @@ identity with no extra normalization. A quantum Fourier transform mixes the
 output paths before photodetection, giving composite operators
 M_(i,m) = |i><i| QFT M_m and the rank-1 POVM elements Pi_(i,m).
 
+Because each group sends one input pair to each output path and the QFT
+only adds phases, the single nonzero row of M_(i,m) has exactly d nonzero
+entries, each of modulus 1/sqrt(d): reshaped to d x d over (A1, A2) it is a
+monomial matrix. ``monomial_rows`` stores every outcome in that form, as
+column positions a*d + b and phases QFT[i, output path], two arrays of shape
+(d^2, d) that cost O(d^3) memory. The simulator's run paths read only this
+form; ``measurement_rows``, ``measurement_row`` and ``povm_elements`` build
+the dense d^2-column rows from it on demand, for inspection and tests (the
+full dense block is d^4 amplitudes: 4 GB at d = 128).
+
 Two crystal wirings are provided: the "general" convention valid for any d,
 and "qutrit-alt", an alternate explicit wiring for d = 3 that also partitions
 the input pairs but assigns different output paths for groups 1 and 2.
@@ -27,6 +37,7 @@ __all__ = [
     "crystal_operator",
     "crystal_pairs",
     "qft",
+    "monomial_rows",
     "measurement_row",
     "povm_elements",
 ]
@@ -95,18 +106,39 @@ def qft(d: int) -> np.ndarray:
     return w ** (x * y) / np.sqrt(d)
 
 
-@lru_cache(maxsize=8)
-def measurement_rows(d: int, convention: str = GENERAL) -> np.ndarray:
-    """All d^2 composite measurement rows stacked, indexed by i*d + m.
+@lru_cache(maxsize=32)
+def monomial_rows(d: int, convention: str = GENERAL) -> tuple[np.ndarray, np.ndarray]:
+    """Every composite measurement row as (positions, phases), indexed by i*d + m.
 
-    Cached per (d, convention) and returned read-only; at d = 64 this block
-    is 256 MB, hence the small cache.
+    Row i*d + m holds phases[i*d + m, k] at column positions[i*d + m, k] and
+    zeros elsewhere. Entry k is crystal group m's k-th accepted pair (out, a, b)
+    from ``crystal_pairs``: position a*d + b, phase QFT[i, out], the same float
+    the dense row holds. Both arrays have shape (d^2, d); cached per
+    (d, convention) and returned read-only.
     """
-    f = qft(d)
-    crystals = [crystal_operator(d, m, convention).matrix for m in range(d)]
-    blocks = np.stack([f @ c for c in crystals])  # indexed (m, i, column)
-    rows = np.ascontiguousarray(blocks.transpose(1, 0, 2).reshape(d * d, d * d))
-    rows.setflags(write=False)
+    groups = [crystal_pairs(d, m, convention) for m in range(d)]
+    accepted = {(a, b) for group in groups for _, a, b in group}
+    # each group uses every output path once, and the groups partition the pairs
+    if len(accepted) != d * d or any(sorted(t[0] for t in g) != list(range(d)) for g in groups):
+        raise RuntimeError("crystal operator construction violated its invariants")
+    triples = np.array(groups)
+    out, a, b = triples[..., 0], triples[..., 1], triples[..., 2]
+    positions = np.tile(a * d + b, (d, 1))
+    phases = qft(d)[:, out].reshape(d * d, d)
+    positions.setflags(write=False)
+    phases.setflags(write=False)
+    return positions, phases
+
+
+def measurement_rows(d: int, convention: str = GENERAL) -> np.ndarray:
+    """All d^2 composite measurement rows as a dense (d^2, d^2) block, indexed by i*d + m.
+
+    Built on each call from ``monomial_rows``; nothing on the simulator's
+    run paths calls it.
+    """
+    positions, phases = monomial_rows(d, convention)
+    rows = np.zeros((d * d, d * d), dtype=complex)
+    np.put_along_axis(rows, positions, phases, axis=1)
     return rows
 
 
@@ -116,7 +148,10 @@ def measurement_row(d: int, i: int, m: int, convention: str = GENERAL) -> np.nda
         raise ValueError(f"detector index {i} out of range for dimension {d}")
     if not 0 <= m < d:
         raise ValueError(f"crystal index {m} out of range for dimension {d}")
-    return measurement_rows(d, convention)[i * d + m]
+    positions, phases = monomial_rows(d, convention)
+    row = np.zeros(d * d, dtype=complex)
+    row[positions[i * d + m]] = phases[i * d + m]
+    return row
 
 
 def povm_elements(d: int, convention: str = GENERAL) -> list[np.ndarray]:

@@ -23,24 +23,41 @@ R^T phi / sqrt(d), where R is the row reshaped to d x d. Every row is a
 monomial matrix with entries of modulus 1/sqrt(d), so sqrt(d) conj(R) undoes
 it exactly.
 
+Monomial form
+-------------
+Every measurement row and every correction is a monomial matrix: d nonzero
+entries, one per row and column. The engines read the rows as
+``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
+and the named schemes are tabled the same way in closed form, as
+(position, phase) per outcome with position row*d + column. Scoring builds
+one outcome's d x d unitary from its entry and applies it as u rho u^dag.
+No run path builds a d^4 array: the dense rows are 268 MB at d = 64 and
+4.3 GB at d = 128.
+
 Engines
 -------
 Both engines produce the same uncorrected outcome records; ``run_protocol``
-then corrects and scores them in one place.
+then corrects and scores them in one place. The probabilities must sum to
+the weight the run carries (||phi||^2 for the input phi) within 1e-10.
 
 branch        ``apply_channel_to_branches`` fans the joint ket out into one
               weighted (A1, A2, B) ket per Kraus pair, and
               ``enumerate_outcomes`` contracts every branch with every
-              measurement row. Used when the run is noiseless or every
+              measurement row, one crystal group at a time: a gather of the
+              d (A1, A2) slabs the group accepts and a product with the
+              QFT phases. Used when the run is noiseless or every
               configured channel holds only scaled Weyl operators
               c U_(i,m) (``KrausChannel.is_weyl``).
 outcome map   any other channel. With Phi the Bell pair reshaped to d x d
               (A2, B) and R_o outcome o's row reshaped to d x d (A1, A2),
               Kraus pair (A_k, B_l) leaves the receiver the unnormalized
-              ket V_(o,k,l) = Phi^T B_l^T x_(o,k), x_(o,k) = R_o^T A_k phi.
-              The weights |V|^2 give p_o and the surviving pairs; no
-              d^3-amplitude branch ket is built. Outcomes are processed in
-              chunks of at most OUTCOME_CHUNK_BYTES of amplitudes.
+              ket V_(o,k,l) = Phi^T B_l^T x_(o,k), x_(o,k) = R_o^T A_k phi,
+              a gather and a scale since R_o is monomial. The weights
+              |V|^2 give p_o and the surviving pairs; no d^3-amplitude
+              branch ket is built. Outcomes are processed in chunks, and
+              OUTCOME_CHUNK_BYTES bounds every array a chunk allocates;
+              only a single outcome whose kets or d x d density matrix
+              exceed it on their own goes over.
 """
 
 from __future__ import annotations
@@ -51,9 +68,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INDEPENDENT, KrausChannel, apply_channel_to_branches, weyl
+from .channels import INDEPENDENT, KrausChannel, apply_channel_to_branches, weyl, weyl_phases
 from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
-from .measurement import GENERAL, measurement_rows
+from .measurement import GENERAL, measurement_rows, monomial_rows
 from .states import bell_state, is_normalized
 
 __all__ = [
@@ -74,8 +91,10 @@ __all__ = [
 PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
 
-# The outcome-map engine holds at most this many bytes of receiver kets at once.
-OUTCOME_CHUNK_BYTES = 16 * 2**20
+# Bounds every array the outcome-map engine allocates for a chunk of outcomes;
+# a chunk holds at least one outcome, whose d x d density matrix or receiver
+# kets alone may exceed it.
+OUTCOME_CHUNK_BYTES = 4 * 2**20
 
 
 def inversion(d: int) -> np.ndarray:
@@ -122,7 +141,9 @@ def enumerate_outcomes(
     """Exact outcome table over all d^2 (detector, crystal) pairs.
 
     Branches are weighted kets over the (A1, A2, B) system. Probabilities
-    sum to the total branch weight within 1e-10.
+    sum to the weight the branches carry, sum_b w_b ||psi_b||^2, within
+    1e-10. Reads only the monomial rows: the largest array holds the d^2
+    receivers of every branch, d^3 amplitudes per branch.
     """
     weights = np.array([w for w, _ in branches], dtype=float)
     if weights.size == 0:
@@ -130,23 +151,35 @@ def enumerate_outcomes(
     stack = np.stack([np.asarray(v, dtype=complex) for _, v in branches])
     if stack.shape[1] != d ** 3:
         raise ValueError(f"branch states have dimension {stack.shape[1]}, expected {d ** 3}")
-    cube = stack.reshape(-1, d * d, d)
+    nb = weights.size
+    cube = stack.reshape(nb, d * d, d).transpose(1, 0, 2)  # (A1A2, branch, B) view
 
-    rows = measurement_rows(d, convention)
-    # receivers[(i,m), branch, :] = row_(i,m) . psi_branch reshaped to (A1A2, B)
-    receivers = np.tensordot(rows, cube, axes=([1], [1]))
-    norms2 = np.einsum("obj,obj->ob", receivers, receivers.conj()).real
+    positions, phases = monomial_rows(d, convention)
+    # receivers[m, i, branch, :] = row_(i,m) . psi_branch reshaped to (A1A2, B).
+    # Group m's d rows share their positions, so each group is one gather of
+    # d slabs and one product with the QFT phases of its d detectors.
+    receivers = np.empty((d, d, nb, d), dtype=complex)
+    norms2 = np.empty((d, d, nb), dtype=complex)
+    for m in range(d):
+        group = receivers[m]
+        slab = cube[positions[m]].reshape(d, nb * d)
+        np.matmul(phases[m::d], slab, out=group.reshape(d, nb * d))
+        norms2[m] = np.einsum("ibj,ibj->ib", group, group.conj())
+    # outcome i*d + m first; the product with the weights reads the real parts
+    # in place, as a strided view, which fixes its summation order
+    norms2 = norms2.transpose(1, 0, 2).reshape(d * d, nb).real
     probs = norms2 @ weights
 
-    total = float(np.sum(weights))
-    if abs(float(np.sum(probs)) - total) > ROUNDOFF_TOL:
+    flat = stack.view(np.float64)
+    carried = float(np.einsum("b,bx,bx->", weights, flat, flat))
+    if abs(float(np.sum(probs)) - carried) > ROUNDOFF_TOL:
         raise RuntimeError("outcome probabilities do not sum to the branch weight")
 
+    survives = weights * norms2 > WEIGHT_FLOOR
     records = []
     for o in range(d * d):
         i, m = divmod(o, d)
-        bw = weights * norms2[o]
-        alive = np.flatnonzero(bw > WEIGHT_FLOOR)
+        alive = survives[o].nonzero()[0]
         p = float(probs[o])
         if alive.size == 0:
             records.append(
@@ -155,11 +188,11 @@ def enumerate_outcomes(
             continue
         if alive.size == 1:
             b = alive[0]
-            state = receivers[o, b] / np.sqrt(norms2[o, b])
+            state = receivers[m, i, b] / np.sqrt(norms2[o, b])
         else:
             # raw receivers carry the collapse norms, so weighting by the
             # plain branch weights yields a unit-trace mixture after /p
-            vecs = receivers[o, alive]
+            vecs = receivers[m, i, alive]
             state = np.einsum("b,bi,bj->ij", weights[alive] / p, vecs, vecs.conj())
         records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
     return records
@@ -181,35 +214,40 @@ def _outcome_map(
     x_in = np.stack(ops_a1) @ phi  # A_k phi, (K_a, d)
     # B_l Phi laid out (A2, (l, B)): x @ b_out is V for every l at once
     b_out = (np.stack(ops_a2) @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
-    pairs = x_in.shape[0] * len(ops_a2)
-    rows = measurement_rows(d, convention).reshape(d * d, d, d)
+    n_a1, pairs = x_in.shape[0], x_in.shape[0] * len(ops_a2)
+    positions, phases = monomial_rows(d, convention)
+    # the receiver kets are a chunk's largest array: pairs * d amplitudes per outcome
     chunk = max(1, OUTCOME_CHUNK_BYTES // (pairs * d * np.dtype(complex).itemsize))
 
     records = []
     total = 0.0
     for start in range(0, d * d, chunk):
-        x = x_in @ rows[start : start + chunk]  # x_(o,k) = R_o^T A_k phi
-        n = x.shape[0]
+        a, b = np.divmod(positions[start : start + chunk], d)
+        n = a.shape[0]
+        # R_o is monomial, so x_(o,k) = R_o^T A_k phi is a gather and a scale:
+        # entry (a, b) of R_o sends (A_k phi)[a] times its phase to position b
+        x = np.empty((n, n_a1, d), dtype=complex)
+        x[np.arange(n)[:, None], :, b] = x_in.T[a] * phases[start : start + n, :, None]
         kets = (x.reshape(-1, d) @ b_out).reshape(n, pairs, d)
-        weights = np.einsum("opj,opj->op", kets, kets.conj()).real
+        flat = kets.view(np.float64)
+        weights = np.einsum("opj,opj->op", flat, flat)
         probs = weights.sum(axis=1)
         total += float(probs.sum())
         # a mixed record sums k k^dag over the pairs above the weight floor
         kets[weights <= WEIGHT_FLOOR] = 0.0
-        rhos = np.swapaxes(kets, 1, 2) @ kets.conj()
         for j in range(n):
             i, m = divmod(start + j, d)
             p = float(probs[j])
-            alive = np.flatnonzero(weights[j] > WEIGHT_FLOOR)
+            alive = (weights[j] > WEIGHT_FLOOR).nonzero()[0]
             if alive.size == 0:
                 state = np.zeros(d, dtype=complex)
             elif alive.size == 1:
                 state = kets[j, alive[0]] / np.sqrt(weights[j, alive[0]])
             else:
-                state = rhos[j] / p
+                state = (kets[j].T @ kets[j].conj()) / p
             records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
-    # the branch weight is 1: a unit input through complete channels
-    if abs(total - 1.0) > ROUNDOFF_TOL:
+    # complete channels keep the weight the input carries, ||phi||^2
+    if abs(total - float(np.vdot(phi, phi).real)) > ROUNDOFF_TOL:
         raise RuntimeError("outcome probabilities do not sum to the branch weight")
     return records
 
@@ -287,22 +325,48 @@ class ProtocolResult:
 
 
 @lru_cache(maxsize=32)
-def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, ...]:
+def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """A named scheme's d^2 monomial unitaries as (positions, phases), indexed by i*d + m.
+
+    Outcome o's unitary holds phases[o, k] at row k, column c, with
+    positions[o, k] = k*d + c its row-major index. Both arrays have shape
+    (d^2, d) and are returned read-only.
+    """
+    k = np.arange(d)
+    i, m = np.divmod(np.arange(d * d)[:, None], d)
     if scheme == PAPER_WEYL:
-        mats = [weyl_correction(d, i, m) for i in range(d) for m in range(d)]
+        # U_(i,m) = sum_k w^(k i) |k><k+m|
+        columns = (k + m) % d
+        phases = weyl_phases(d)[(k * i) % d]
+    elif scheme == DERIVED_EXACT and convention == GENERAL:
+        # U_((-i) mod d, m) INV = sum_k w^(k (-i mod d)) |k><-(k+m)|
+        columns = (-(k + m)) % d
+        phases = weyl_phases(d)[(k * ((-i) % d)) % d]
     elif scheme == DERIVED_EXACT:
-        mats = [derived_exact_correction(d, i, m, convention) for i in range(d) for m in range(d)]
+        # sqrt(d) conj(R): R's entry at (a, b) becomes row a, column b
+        row_positions, row_phases = monomial_rows(d, convention)
+        a, b = np.divmod(row_positions, d)
+        o = np.arange(d * d)[:, None]
+        columns = np.empty_like(row_positions)
+        columns[o, a] = b
+        phases = np.empty_like(row_phases)
+        phases[o, a] = np.sqrt(d) * row_phases.conj()
     else:
         raise ValueError(f"unknown correction scheme {scheme!r}")
-    for mat in mats:
-        mat.setflags(write=False)
-    return tuple(mats)
+    positions = k * d + columns
+    positions.setflags(write=False)
+    phases.setflags(write=False)
+    return positions, phases
 
 
 def _correction_matrix(config: ProtocolConfig, i: int, m: int) -> np.ndarray:
     if isinstance(config.correction, CorrectionTable):
         return config.correction.entries[(i, m)]
-    return _scheme_table(config.d, config.correction, config.convention)[i * config.d + m]
+    d = config.d
+    positions, phases = _scheme_table(d, config.correction, config.convention)
+    u = np.zeros(d * d, dtype=complex)
+    u[positions[i * d + m]] = phases[i * d + m]
+    return u.reshape(d, d)
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:

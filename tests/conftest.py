@@ -33,3 +33,13 @@ def strip_global_phase(v):
     v = np.asarray(v)
     k = int(np.argmax(np.abs(v)))
     return v * np.conj(v[k]) / abs(v[k])
+
+
+def assert_same_floats(got, want):
+    """Same shape, dtype and values, compared with IEEE equality.
+
+    Nonzero entries then carry identical bits; a zero entry may differ in
+    sign, since BLAS writes some zero products as -0.0.
+    """
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)

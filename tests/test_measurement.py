@@ -8,9 +8,12 @@ from qudit_teleport.measurement import (
     crystal_operator,
     measurement_row,
     measurement_rows,
+    monomial_rows,
     povm_elements,
     qft,
 )
+
+from conftest import assert_same_floats
 
 # explicit 2x4 crystal matrices for d = 2 (type I and type II)
 M2_TYPE_I = np.array([[0, 0, 0, 1], [1, 0, 0, 0]], dtype=complex)
@@ -122,6 +125,37 @@ class TestMeasurementOperator:
             for m in range(d):
                 row = measurement_row(d, i, m)
                 assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
+
+
+def crystal_product_rows(d, convention):
+    """The dense rows as the QFT times each crystal matrix, stacked by i*d + m."""
+    blocks = np.stack([qft(d) @ crystal_operator(d, m, convention).matrix for m in range(d)])
+    return blocks.transpose(1, 0, 2).reshape(d * d, d * d)
+
+
+class TestMonomialRows:
+    @pytest.mark.parametrize(
+        "d, convention",
+        [(d, GENERAL) for d in range(2, 17)] + [(3, QUTRIT_ALT)],
+        ids=[str(d) for d in range(2, 17)] + ["3-qutrit-alt"],
+    )
+    def test_dense_rows_equal_crystal_product(self, d, convention):
+        want = crystal_product_rows(d, convention)
+        assert_same_floats(measurement_rows(d, convention), want)
+        for i, m in [(0, 0), (1, d - 1), (d - 1, d // 2)]:
+            assert_same_floats(measurement_row(d, i, m, convention), want[i * d + m])
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_shape_and_read_only(self, d):
+        positions, phases = monomial_rows(d)
+        assert positions.shape == phases.shape == (d * d, d)
+        assert not positions.flags.writeable and not phases.flags.writeable
+        np.testing.assert_allclose(np.abs(phases), 1 / np.sqrt(d), rtol=0, atol=1e-15)
+
+    def test_broken_wiring_raises_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(measurement, "crystal_pairs", lambda d, m, c: [(0, 0, 0), (0, 1, 1)])
+        with pytest.raises(RuntimeError, match="invariants"):
+            monomial_rows.__wrapped__(2)  # past the cache
 
 
 class TestPovmElements:

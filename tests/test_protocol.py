@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,13 @@ from qudit_teleport.channels import (
     weyl,
 )
 from qudit_teleport.linalg import WEIGHT_FLOOR, pure_fidelity
-from qudit_teleport.measurement import GENERAL, QUTRIT_ALT, measurement_row, measurement_rows
+from qudit_teleport.measurement import (
+    GENERAL,
+    QUTRIT_ALT,
+    measurement_row,
+    measurement_rows,
+    monomial_rows,
+)
 from qudit_teleport.protocol import (
     DERIVED_EXACT,
     PAPER_WEYL,
@@ -29,7 +37,7 @@ from qudit_teleport.protocol import (
 )
 from qudit_teleport.states import basis_state, bell_state, random_pure_state, uniform_state
 
-from conftest import random_unitary, strip_global_phase
+from conftest import assert_same_floats, random_unitary, strip_global_phase
 from dm_reference import run_protocol_dm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -368,6 +376,22 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="shape"):
             run_protocol(ProtocolConfig(d=3, input_state=basis_state(2, 0)))
 
+    @pytest.mark.parametrize("noise", [None, "crosstalk", "isometry"], ids=["noiseless", "crosstalk", "isometry"])
+    def test_input_within_roundoff_of_unit_norm_runs(self, noise):
+        # accepted by the input check; its probabilities sum to ||phi||^2, not 1
+        d = 3
+        phi = uniform_state(d) * (1 + 0.9e-10)
+        a1 = {
+            None: None,
+            "crosstalk": crosstalk_channel(d, 0.3, WEYL),
+            "isometry": isometry_channel(d, 2, np.random.default_rng(3)),
+        }[noise]
+        res = run_protocol(ProtocolConfig(d=d, input_state=phi, noise_a1=a1))
+        total = sum(r.probability for r in res.records)
+        assert abs(total - np.vdot(phi, phi).real) < 1e-14
+        if noise is None:
+            assert abs(res.average_fidelity - 1.0) < 1e-9
+
 
 class TestNoisyProtocol:
     @pytest.mark.parametrize("d", [2, 3])
@@ -657,7 +681,86 @@ class TestOutcomeMapEngine:
             ch = crosstalk_channel(d, 0.3, WEYL)
         else:
             ch = isometry_channel(d, 2, np.random.default_rng(7))
-        rows = 1.01 * measurement_rows(d, GENERAL)
-        monkeypatch.setattr(protocol, "measurement_rows", lambda d, convention: rows)
+        positions, phases = monomial_rows(d, GENERAL)
+        corrupted = (positions, 1.01 * phases)
+        monkeypatch.setattr(protocol, "monomial_rows", lambda d, convention: corrupted)
         with pytest.raises(RuntimeError, match="probabilities do not sum"):
             run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
+
+
+def dense_contraction(d, branches):
+    """Probabilities and receiver states from the dense (d^2, d^2) rows.
+
+    The contraction ``enumerate_outcomes`` performed before it read the
+    monomial rows; kept as the reference its arithmetic must reproduce.
+    """
+    weights = np.array([w for w, _ in branches])
+    cube = np.stack([v for _, v in branches]).reshape(-1, d * d, d)
+    receivers = np.tensordot(measurement_rows(d), cube, axes=([1], [1]))
+    norms2 = np.einsum("obj,obj->ob", receivers, receivers.conj()).real
+    probs = norms2 @ weights
+    states = []
+    for o in range(d * d):
+        alive = np.flatnonzero(weights * norms2[o] > WEIGHT_FLOOR)
+        if alive.size == 1:
+            states.append(receivers[o, alive[0]] / np.sqrt(norms2[o, alive[0]]))
+        else:
+            vecs = receivers[o, alive]
+            states.append(np.einsum("b,bi,bj->ij", weights[alive] / probs[o], vecs, vecs.conj()))
+    return probs, states
+
+
+class TestMonomialLayer:
+    @pytest.mark.parametrize(
+        "d, convention",
+        [(d, GENERAL) for d in range(2, 17)] + [(3, QUTRIT_ALT)],
+        ids=[str(d) for d in range(2, 17)] + ["3-qutrit-alt"],
+    )
+    def test_scheme_tables_equal_dense_corrections(self, d, convention):
+        dense = {
+            PAPER_WEYL: lambda i, m: weyl_correction(d, i, m),
+            DERIVED_EXACT: lambda i, m: derived_exact_correction(d, i, m, convention),
+        }
+        for scheme, correction in dense.items():
+            config = ProtocolConfig(
+                d=d, input_state=uniform_state(d), convention=convention, correction=scheme
+            )
+            for i in range(d):
+                for m in range(d):
+                    assert_same_floats(protocol._correction_matrix(config, i, m), correction(i, m))
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_branch_engine_reproduces_dense_contraction(self, d):
+        # bit for bit, so Weyl-noise sweeps print the same digits
+        ch = crosstalk_channel(d, 0.37, WEYL)
+        branches = [(1.0, compose_initial(random_pure_state(d, d), bell_state(d, (1, 0))))]
+        for target in (0, 1):
+            branches = apply_channel_to_branches(ch, branches, (d, d, d), target)
+        probs, states = dense_contraction(d, branches)
+        records = enumerate_outcomes(d, branches)
+        for rec, p, state in zip(records, probs, states, strict=True):
+            assert rec.probability == p
+            assert_same_floats(rec.receiver_state, state)
+
+    @pytest.mark.parametrize("noise", [None, "unitary-a1"], ids=["noiseless", "unitary-a1"])
+    def test_d64_run_reads_no_dense_rows(self, monkeypatch, noise):
+        # the dense rows alone are 268 MB at d = 64
+        def dense_rows(*args):
+            raise AssertionError("a run path built the dense measurement rows")
+
+        monkeypatch.setattr(protocol, "measurement_rows", dense_rows)
+        d = 64
+        a1 = None
+        if noise is not None:
+            a1 = KrausChannel(d=d, operators=(random_unitary(np.random.default_rng(64), d),))
+        config = ProtocolConfig(d=d, input_state=random_pure_state(d, 64), noise_a1=a1)
+        tracemalloc.start()
+        try:
+            res = run_protocol(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
+        if noise is None:
+            assert abs(res.min_outcome_fidelity - 1.0) < 1e-12
