@@ -33,6 +33,7 @@ __all__ = [
     "weyl",
     "weyl_phases",
     "crosstalk_channel",
+    "crosstalk_kraus_count",
     "apply_channel_to_branches",
 ]
 
@@ -119,21 +120,33 @@ def _is_scaled_weyl(op: np.ndarray) -> bool:
     return bool(np.max(np.abs(op - c * weyl(d, i, m))) <= EXACT_TOL)
 
 
-def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
-    """Crosstalk channel at flip probability p; zero-weight operators dropped."""
+def _crosstalk_labels(d: int, p: float, variant: str) -> tuple[list[tuple[int, int]], int, float]:
+    """A variant's Weyl labels (i, m), the n each one's weight p / n divides by,
+    and the weight the identity keeps."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability {p} outside [0, 1]")
     if variant not in VARIANTS:
         raise ValueError(f"unknown noise variant {variant!r}")
-    # each listed Weyl operator U_(i,m) carries weight p / n; the identity keeps the rest
     if variant == SHIFT:
         labels, n = [(0, k) for k in range(1, d)], d
     elif variant == PHASE:
         labels, n = [(k, 0) for k in range(1, d)], d
     else:
         labels, n = [(i, m) for i in range(d) for m in range(d) if (i, m) != (0, 0)], d * d
+    return labels, n, 1.0 - len(labels) * p / n
+
+
+def crosstalk_kraus_count(d: int, p: float, variant: str = WEYL) -> int:
+    """How many operators ``crosstalk_channel(d, p, variant)`` holds, without building them."""
+    labels, _, keep = _crosstalk_labels(d, p, variant)
+    return int(keep > 0.0) + (len(labels) if p > 0.0 else 0)
+
+
+def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
+    """Crosstalk channel at flip probability p; zero-weight operators dropped."""
+    # each listed Weyl operator U_(i,m) carries weight p / n; the identity keeps the rest
+    labels, n, keep = _crosstalk_labels(d, p, variant)
     ops: list[np.ndarray] = []
-    keep = 1.0 - len(labels) * p / n
     if keep > 0.0:
         ops.append(np.sqrt(keep) * np.eye(d, dtype=complex))
     if p > 0.0:
@@ -152,8 +165,12 @@ def apply_channel_to_branches(
     ``dims`` lists the subsystem dimensions of every branch state and
     ``target`` selects the factor the channel acts on; the rest see the
     identity. Each (weight, ket) branch fans out into one branch per Kraus
-    operator with weight w * ||C psi||^2 and the renormalized ket; zero-norm
-    branches are dropped. Total weight is preserved.
+    operator with weight w * ||C psi||^2 and the renormalized ket, ordered
+    branch-major, operator-minor; branches at or below ``WEIGHT_FLOOR`` are
+    dropped. Total weight is preserved.
+
+    Every operator meets every branch in one stacked product, so the
+    returned kets are rows of one (branches x operators, prod(dims)) array.
     """
     dims = tuple(int(x) for x in dims)
     if not 0 <= target < len(dims):
@@ -164,30 +181,41 @@ def apply_channel_to_branches(
             f"of dimension {dims[target]}"
         )
     total = int(np.prod(dims))
-    pre = int(np.prod(dims[:target], initial=1))
-    post = int(np.prod(dims[target + 1 :], initial=1))
-
-    out: list[tuple[float, np.ndarray]] = []
-    in_weight = 0.0
-    out_weight = 0.0
-    for w, psi in branches:
-        psi = np.asarray(psi, dtype=complex)
+    kets = [np.asarray(psi, dtype=complex) for _, psi in branches]
+    for psi in kets:
         if psi.shape != (total,):
             raise ValueError(
                 f"branch state has dimension {psi.shape}, subsystems give {total}"
             )
-        # the weight a branch carries is w ||psi||^2, which a complete channel keeps
-        in_weight += w * float(np.vdot(psi, psi).real)
-        cube = psi.reshape(pre, channel.d, post)
-        for op in channel.operators:
-            new = np.einsum("ab,xbz->xaz", op, cube).reshape(-1)
-            norm = np.linalg.norm(new)
-            nw = w * norm * norm
-            out_weight += nw
-            if nw > WEIGHT_FLOOR:
-                out.append((nw, new / norm))
+    if not kets:
+        return []
+    pre = int(np.prod(dims[:target], initial=1))
+    post = int(np.prod(dims[target + 1 :], initial=1))
+    weights = np.array([w for w, _ in branches], dtype=float)
+    stack = np.stack(kets)
+    ops = np.stack(channel.operators)
+    n_in, n_ops = weights.size, ops.shape[0]
+
+    # out[b, k] = (I (x) C_k (x) I) psi_b, one small GEMM per (branch, operator, pre)
+    out = np.empty((n_in, n_ops, pre, channel.d, post), dtype=complex)
+    np.matmul(ops[:, None], stack.reshape(n_in, 1, pre, channel.d, post), out=out)
+    rows = out.reshape(n_in * n_ops, total)
+    flat = rows.view(np.float64)
+    norms = np.sqrt(np.einsum("nx,nx->n", flat, flat))
+    new_weights = np.repeat(weights, n_ops) * norms * norms
+    # the weight a branch carries is w ||psi||^2, which a complete channel keeps
+    stack_flat = stack.view(np.float64)
+    in_weight = float(weights @ np.einsum("bx,bx->b", stack_flat, stack_flat))
+    out_weight = float(new_weights.sum())
     if abs(out_weight - in_weight) > ROUNDOFF_TOL:
         raise RuntimeError(
             f"channel application changed total weight by {out_weight - in_weight:.3e}"
         )
-    return out
+    kept = new_weights > WEIGHT_FLOOR
+    # numpy divides complex by real as a product with the reciprocal, so this is
+    # psi / ||psi|| bit for bit; dropped rows are zeroed
+    scale = np.zeros_like(norms)
+    np.divide(1.0, norms, out=scale, where=kept)
+    flat *= scale[:, None]
+    index = kept.nonzero()[0]
+    return list(zip(new_weights[index].tolist(), (rows[j] for j in index.tolist())))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channels import INDEPENDENT, VARIANTS, crosstalk_channel
+from .channels import INDEPENDENT, VARIANTS, crosstalk_channel, crosstalk_kraus_count
 from .linalg import EXACT_TOL, GRID_TOL
 from .protocol import DERIVED_EXACT, PAPER_WEYL, ProtocolConfig, run_protocol
 from .states import load_state, random_pure_state, uniform_state
@@ -188,6 +188,8 @@ def _parse_input(raw: str) -> InputSpec:
             raise ValueError(f"random input spec must be random:N:SEED, got {text!r}") from None
         if count < 1:
             raise ValueError("random input count must be >= 1")
+        if seed < 0:
+            raise ValueError(f"random input seed must be >= 0, got {seed}")
         return InputSpec(kind="random", count=count, base_seed=seed)
     if text.startswith("file:"):
         path = text[len("file:") :]
@@ -355,8 +357,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     for d in sorted(config.dims):
         instances = _input_instances(config.input_spec, d)
         for p in sorted(config.p_grid):
-            ch_a1 = crosstalk_channel(d, p, config.noise_variant) if "a1" in config.noise_targets else None
-            ch_a2 = crosstalk_channel(d, p, config.noise_variant) if "a2" in config.noise_targets else None
+            channel = crosstalk_channel(d, p, config.noise_variant)
+            ch_a1 = channel if "a1" in config.noise_targets else None
+            ch_a2 = channel if "a2" in config.noise_targets else None
             for seed, state in instances:
                 start = time.perf_counter()
                 proto = run_protocol(
@@ -402,14 +405,38 @@ def emit(result: SweepResult, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _format_bytes(n: int) -> str:
+    for unit, scale in (("GB", 1e9), ("MB", 1e6)):
+        if n >= scale:
+            return f"{n / scale:.1f} {unit}"
+    return f"{n / 1e3:.1f} kB"
+
+
+def _large_dim_warning(config: SweepConfig) -> str | None:
+    """The stderr warning for dims above RUNTIME_WARN_DIM, with the largest branch array.
+
+    The branch engine's fan-out holds K_a1 * K_a2 kets of d^3 amplitudes, K
+    the Kraus count of each targeted channel, largest at the largest d and p.
+    """
+    big = [d for d in config.dims if d > RUNTIME_WARN_DIM]
+    if not big:
+        return None
+    d, p = max(big), max(config.p_grid)
+    count = crosstalk_kraus_count(d, p, config.noise_variant)
+    branches = count ** len(config.noise_targets)
+    size = branches * d**3 * np.dtype(complex).itemsize
+    return (
+        f"warning: exact enumeration scales steeply; dims {big} may take a long time; "
+        f"at d = {d}, p = {p:g} the branch array holds {branches} "
+        f"branch{'es' if branches > 1 else ''} of {d**3} amplitudes, {_format_bytes(size)}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     config = parse_cli(argv)
-    big = [d for d in config.dims if d > RUNTIME_WARN_DIM]
-    if big:
-        print(
-            f"warning: exact enumeration scales steeply; dims {big} may take a long time",
-            file=sys.stderr,
-        )
+    warning = _large_dim_warning(config)
+    if warning is not None:
+        print(warning, file=sys.stderr)
     try:
         result = run_sweep(config)
     except ValueError as exc:

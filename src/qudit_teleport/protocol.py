@@ -41,13 +41,17 @@ then corrects and scores them in one place. The probabilities must sum to
 the weight the run carries (||phi||^2 for the input phi) within 1e-10.
 
 branch        ``apply_channel_to_branches`` fans the joint ket out into one
-              weighted (A1, A2, B) ket per Kraus pair, and
-              ``enumerate_outcomes`` contracts every branch with every
-              measurement row, one crystal group at a time: a gather of the
-              d (A1, A2) slabs the group accepts and a product with the
-              QFT phases. Used when the run is noiseless or every
-              configured channel holds only scaled Weyl operators
-              c U_(i,m) (``KrausChannel.is_weyl``).
+              weighted (A1, A2, B) ket per Kraus pair, one stacked product
+              per fan-out whose rows it returns, and ``enumerate_outcomes``
+              contracts every branch with every measurement row, streamed
+              one crystal group at a time: a gather of the d (A1, A2) slabs
+              the group accepts, a product with the QFT phases, then the
+              group's norms, probabilities and records. The largest arrays
+              are the branch kets, K_a1 K_a2 d^3 amplitudes, and their
+              stack in the enumeration; one group's receivers are 1/d of
+              that. Used when the run is noiseless or every configured
+              channel holds only scaled Weyl operators c U_(i,m)
+              (``KrausChannel.is_weyl``).
 outcome map   any other channel. With Phi the Bell pair reshaped to d x d
               (A2, B) and R_o outcome o's row reshaped to d x d (A1, A2),
               Kraus pair (A_k, B_l) leaves the receiver the unnormalized
@@ -142,8 +146,9 @@ def enumerate_outcomes(
 
     Branches are weighted kets over the (A1, A2, B) system. Probabilities
     sum to the weight the branches carry, sum_b w_b ||psi_b||^2, within
-    1e-10. Reads only the monomial rows: the largest array holds the d^2
-    receivers of every branch, d^3 amplitudes per branch.
+    1e-10. Reads only the monomial rows and works one crystal group at a
+    time: besides the stacked branches, the largest array holds one group's
+    d receivers of every branch, d^2 amplitudes per branch.
     """
     weights = np.array([w for w, _ in branches], dtype=float)
     if weights.size == 0:
@@ -153,48 +158,47 @@ def enumerate_outcomes(
         raise ValueError(f"branch states have dimension {stack.shape[1]}, expected {d ** 3}")
     nb = weights.size
     cube = stack.reshape(nb, d * d, d).transpose(1, 0, 2)  # (A1A2, branch, B) view
-
-    positions, phases = monomial_rows(d, convention)
-    # receivers[m, i, branch, :] = row_(i,m) . psi_branch reshaped to (A1A2, B).
-    # Group m's d rows share their positions, so each group is one gather of
-    # d slabs and one product with the QFT phases of its d detectors.
-    receivers = np.empty((d, d, nb, d), dtype=complex)
-    norms2 = np.empty((d, d, nb), dtype=complex)
-    for m in range(d):
-        group = receivers[m]
-        slab = cube[positions[m]].reshape(d, nb * d)
-        np.matmul(phases[m::d], slab, out=group.reshape(d, nb * d))
-        norms2[m] = np.einsum("ibj,ibj->ib", group, group.conj())
-    # outcome i*d + m first; the product with the weights reads the real parts
-    # in place, as a strided view, which fixes its summation order
-    norms2 = norms2.transpose(1, 0, 2).reshape(d * d, nb).real
-    probs = norms2 @ weights
-
     flat = stack.view(np.float64)
     carried = float(np.einsum("b,bx,bx->", weights, flat, flat))
-    if abs(float(np.sum(probs)) - carried) > ROUNDOFF_TOL:
-        raise RuntimeError("outcome probabilities do not sum to the branch weight")
 
-    survives = weights * norms2 > WEIGHT_FLOOR
-    records = []
-    for o in range(d * d):
-        i, m = divmod(o, d)
-        alive = survives[o].nonzero()[0]
-        p = float(probs[o])
-        if alive.size == 0:
-            records.append(
-                OutcomeRecord(i=i, m=m, probability=p, receiver_state=np.zeros(d, dtype=complex))
-            )
-            continue
-        if alive.size == 1:
-            b = alive[0]
-            state = receivers[m, i, b] / np.sqrt(norms2[o, b])
-        else:
-            # raw receivers carry the collapse norms, so weighting by the
-            # plain branch weights yields a unit-trace mixture after /p
-            vecs = receivers[m, i, alive]
-            state = np.einsum("b,bi,bj->ij", weights[alive] / p, vecs, vecs.conj())
-        records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
+    positions, phases = monomial_rows(d, convention)
+    # group[i, branch, :] = row_(i,m) . psi_branch reshaped to (A1A2, B).
+    # Group m's d rows share their positions, so each group is one gather of
+    # d slabs and one product with the QFT phases of its d detectors.
+    group = np.empty((d, nb, d), dtype=complex)
+    norms2 = np.empty((d, nb), dtype=complex)
+    total = 0.0
+    records: list[OutcomeRecord] = [None] * (d * d)  # type: ignore[list-item]
+    for m in range(d):
+        slab = cube[positions[m]].reshape(d, nb * d)
+        np.matmul(phases[m::d], slab, out=group.reshape(d, nb * d))
+        np.einsum("ibj,ibj->ib", group, group.conj(), out=norms2)
+        # the product with the weights reads the real parts in place, as a
+        # strided view, which fixes its summation order
+        group_norms2 = norms2.real
+        group_probs = group_norms2 @ weights
+        total += float(group_probs.sum())
+        survives = weights * group_norms2 > WEIGHT_FLOOR
+        for i in range(d):
+            alive = survives[i].nonzero()[0]
+            p = float(group_probs[i])
+            if alive.size == 0:
+                state = np.zeros(d, dtype=complex)
+            elif alive.size == 1:
+                b = alive[0]
+                state = group[i, b] / np.sqrt(group_norms2[i, b])
+            else:
+                # raw receivers carry the collapse norms, so weighting by the
+                # plain branch weights yields a unit-trace mixture after /p
+                if alive.size == nb:
+                    vecs, mix = group[i], weights / p
+                else:
+                    vecs, mix = group[i, alive], weights[alive] / p
+                state = np.einsum("b,bi,bj->ij", mix, vecs, vecs.conj())
+            records[i * d + m] = OutcomeRecord(i=i, m=m, probability=p, receiver_state=state)
+
+    if abs(total - carried) > ROUNDOFF_TOL:
+        raise RuntimeError("outcome probabilities do not sum to the branch weight")
     return records
 
 

@@ -66,6 +66,8 @@ def random_pure_state(d: int, seed: int) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("dimension must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)

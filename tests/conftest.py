@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qudit_teleport.channels import KrausChannel
+
 
 @pytest.fixture
 def rng():
@@ -26,6 +28,13 @@ def random_density(rng, n, rank=None):
 def random_unitary(rng, n):
     q, r = np.linalg.qr(random_complex_matrix(rng, n, n))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def isometry_channel(d, n_ops, rng):
+    """Random channel: the d x d blocks of an (n_ops d) x d isometry."""
+    g = rng.standard_normal((n_ops * d, d)) + 1j * rng.standard_normal((n_ops * d, d))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel(d=d, operators=tuple(q[k * d : (k + 1) * d] for k in range(n_ops)))
 
 
 def strip_global_phase(v):

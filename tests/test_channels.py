@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qudit_teleport.channels import (
     PHASE,
@@ -10,9 +12,13 @@ from qudit_teleport.channels import (
     KrausChannel,
     apply_channel_to_branches,
     crosstalk_channel,
+    crosstalk_kraus_count,
     weyl,
 )
+from qudit_teleport.linalg import WEIGHT_FLOOR
 from qudit_teleport.states import basis_state, uniform_state
+
+from conftest import isometry_channel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1, -1]).astype(complex)
@@ -71,6 +77,12 @@ class TestWeyl:
 
 
 class TestCrosstalkChannel:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_kraus_count_without_building(self, d, variant):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            assert crosstalk_kraus_count(d, p, variant) == len(crosstalk_channel(d, p, variant).operators)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_p_zero_collapses_to_identity(self, variant):
         ch = crosstalk_channel(3, 0.0, variant)
@@ -150,6 +162,31 @@ class TestIsWeyl:
         assert ch.__dict__["is_weyl"] is True
 
 
+def per_operator_fanout(channel, branches, dims, target):
+    """The fan-out as one einsum and one norm per (branch, operator) pair.
+
+    The loop ``apply_channel_to_branches`` ran before it stacked the product;
+    kept as the reference the stacked fan-out must reproduce.
+    """
+    pre = int(np.prod(dims[:target], initial=1))
+    post = int(np.prod(dims[target + 1 :], initial=1))
+    out = []
+    for w, psi in branches:
+        cube = psi.reshape(pre, channel.d, post)
+        for op in channel.operators:
+            new = np.einsum("ab,xbz->xaz", op, cube).reshape(-1)
+            norm = np.linalg.norm(new)
+            nw = w * norm * norm
+            if nw > WEIGHT_FLOOR:
+                out.append((nw, new / norm))
+    return out
+
+
+def projector_channel(d):
+    """Measurement in the computational basis: Kraus operators |k><k|."""
+    return KrausChannel(d=d, operators=tuple(np.diag(np.eye(d)[k]) + 0j for k in range(d)))
+
+
 class TestApplyChannelToBranches:
     def test_identity_channel_noop(self):
         v = uniform_state(4)
@@ -200,3 +237,64 @@ class TestApplyChannelToBranches:
     def test_bad_state_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             apply_channel_to_branches(identity(2), [(1.0, uniform_state(3))], (2, 2), 0)
+
+    def test_empty_branch_list(self):
+        assert apply_channel_to_branches(crosstalk_channel(2, 0.5), [], (2, 2), 1) == []
+
+    def test_bad_branch_rejected_before_any_product(self):
+        class Unread:
+            d = 2
+
+            @property
+            def operators(self):
+                raise AssertionError("operators read before every branch was checked")
+
+        branches = [(0.5, uniform_state(4)), (0.5, uniform_state(3))]
+        with pytest.raises(ValueError, match=r"branch state has dimension \(3,\), subsystems give 4"):
+            apply_channel_to_branches(Unread(), branches, (2, 2), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(2, 5),
+        layout=st.sampled_from(["(d,)", "(d,d,d)"]),
+        target=st.integers(0, 2),
+        kind=st.sampled_from(["crosstalk", "isometry", "projector"]),
+        variant=st.sampled_from(VARIANTS),
+        p=st.floats(0.0, 1.0),
+        n_ops=st.integers(1, 4),
+        n_branches=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_operator_loop(
+        self, d, layout, target, kind, variant, p, n_ops, n_branches, seed
+    ):
+        rng = np.random.default_rng(seed)
+        dims = (d,) if layout == "(d,)" else (d, d, d)
+        target = min(target, len(dims) - 1)
+        if kind == "crosstalk":
+            channel = crosstalk_channel(d, p, variant)
+        elif kind == "isometry":
+            channel = isometry_channel(d, n_ops, rng)
+        else:
+            channel = projector_channel(d)
+        # zero some levels of the target factor, so projectors leave
+        # zero-weight branches for the floor to drop
+        pre = int(np.prod(dims[:target], initial=1))
+        levels = rng.random((n_branches, d)) < 0.6
+        levels[np.arange(n_branches), rng.integers(0, d, n_branches)] = True
+        branches = []
+        for b in range(n_branches):
+            psi = rng.standard_normal(d ** len(dims)) + 1j * rng.standard_normal(d ** len(dims))
+            psi = psi.reshape(pre, d, -1) * levels[b][:, None]
+            psi = psi.reshape(-1) / np.linalg.norm(psi)
+            branches.append((float(rng.uniform(0.01, 1.0)), psi))
+
+        got = apply_channel_to_branches(channel, branches, dims, target)
+        want = per_operator_fanout(channel, branches, dims, target)
+        if kind == "projector":
+            assert len(want) == int(levels.sum())
+        assert len(got) == len(want)
+        for (w_got, ket_got), (w_want, ket_want) in zip(got, want):
+            assert abs(w_got - w_want) <= 1e-14
+            assert ket_got.shape == ket_want.shape
+            assert np.max(np.abs(ket_got - ket_want)) <= 1e-14

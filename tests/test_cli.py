@@ -70,6 +70,18 @@ class TestParseCli:
         assert cfg.input_spec == InputSpec(kind="random", count=5, base_seed=42)
         assert cfg.input_spec.label == "random:5:42"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_random_seed_exits_2(self, tmp_path, capsys, source):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps({"input": "random:2:-1"}))
+        argv = ["--input", "random:2:-1"] if source == "flag" else ["--config", str(cfg_path)]
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "qudit-teleport: error: random input seed must be >= 0, got -1\n"
+        )
+
     def test_file_input_spec(self):
         cfg = parse_cli(["--input", "file:/tmp/state.txt"])
         assert cfg.input_spec.kind == "file" and cfg.input_spec.path == "/tmp/state.txt"
@@ -180,6 +192,24 @@ class TestParseCli:
 
 
 class TestRunSweep:
+    def test_one_channel_per_grid_point(self, monkeypatch):
+        built, configs = [], []
+        real_channel, real_run = cli.crosstalk_channel, cli.run_protocol
+
+        def channel(*args):
+            built.append(args)
+            return real_channel(*args)
+
+        def run(config):
+            configs.append(config)
+            return real_run(config)
+
+        monkeypatch.setattr(cli, "crosstalk_channel", channel)
+        monkeypatch.setattr(cli, "run_protocol", run)
+        run_sweep(parse_cli(["--dims", "2,3", "--p-grid", "0:1:0.5", "--input", "random:2:0"]))
+        assert len(built) == 6 and len(configs) == 12
+        assert all(c.noise_a1 is c.noise_a2 for c in configs)
+
     def test_noiseless_point_reaches_unit_fidelity(self):
         cfg = parse_cli(["--dims", "2", "--p-grid", "0:0:1"])
         rows = run_sweep(cfg).rows
@@ -308,6 +338,22 @@ class TestMain:
         assert rc == 0
         err = capsys.readouterr().err
         assert "warning" in err and "16" in err
+
+    def test_large_dim_warning_gives_branch_array_size(self, monkeypatch, capsys):
+        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 * 256 kets of 16^3 amplitudes
+        monkeypatch.setattr(cli, "run_sweep", lambda config: SweepResult())
+        assert main(["--dims", "2,16"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: exact enumeration scales steeply; dims [16] may take a long time; "
+            "at d = 16, p = 1 the branch array holds 65536 branches of 4096 amplitudes, 4.3 GB\n"
+        )
+
+    def test_large_dim_warning_counts_targeted_channels(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_sweep", lambda config: SweepResult())
+        argv = ["--dims", "9", "--p-grid", "0:0.5:0.5", "--noise", "shift", "--noise-targets", "a2"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err.endswith("at d = 9, p = 0.5 the branch array holds 9 branches of 729 amplitudes, 105.0 kB\n")
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         rc = main(["--dims", "2", "--p-grid", "0:0:1", "--out", str(tmp_path / "nope" / "x.csv")])

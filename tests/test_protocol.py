@@ -37,7 +37,7 @@ from qudit_teleport.protocol import (
 )
 from qudit_teleport.states import basis_state, bell_state, random_pure_state, uniform_state
 
-from conftest import assert_same_floats, random_unitary, strip_global_phase
+from conftest import assert_same_floats, isometry_channel, random_unitary, strip_global_phase
 from dm_reference import run_protocol_dm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,13 +60,6 @@ def noiseless_receiver(d, i, m, convention, phi):
     psi = compose_initial(phi, bell_state(d, (0, 0)))
     recv = measurement_row(d, i, m, convention) @ psi.reshape(d * d, d)
     return recv / np.linalg.norm(recv)
-
-
-def isometry_channel(d, n_ops, rng):
-    """Random channel: the d x d blocks of an (n_ops d) x d isometry."""
-    g = rng.standard_normal((n_ops * d, d)) + 1j * rng.standard_normal((n_ops * d, d))
-    q, _ = np.linalg.qr(g)
-    return KrausChannel(d=d, operators=tuple(q[k * d : (k + 1) * d] for k in range(n_ops)))
 
 
 def find_correction(d, i, m, convention=GENERAL):
@@ -764,3 +757,44 @@ class TestMonomialLayer:
         assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
         if noise is None:
             assert abs(res.min_outcome_fidelity - 1.0) < 1e-12
+
+
+class TestBranchEngineMemory:
+    """tracemalloc peaks of the d = 8 Weyl fan-out at p = 0.5: 64 branches in, 4096 out.
+
+    The output kets alone are 4096 x 512 amplitudes, 32 MiB.
+    """
+
+    d = 8
+
+    def a1_branches(self):
+        d = self.d
+        joint = compose_initial(random_pure_state(d, d), bell_state(d, (0, 0)))
+        return apply_channel_to_branches(crosstalk_channel(d, 0.5, WEYL), [(1.0, joint)], (d, d, d), 0)
+
+    def test_a2_fanout_peak(self):
+        d, branches = self.d, self.a1_branches()
+        channel = crosstalk_channel(d, 0.5, WEYL)
+        tracemalloc.start()
+        try:
+            out = apply_channel_to_branches(channel, branches, (d, d, d), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(branches), len(out)) == (64, 4096)
+        assert peak < 40 * 2**20
+
+    def test_enumerate_peak_above_input(self):
+        d = self.d
+        branches = apply_channel_to_branches(
+            crosstalk_channel(d, 0.5, WEYL), self.a1_branches(), (d, d, d), 1
+        )
+        tracemalloc.start()
+        try:
+            records = enumerate_outcomes(d, branches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == d * d
+        # the stacked branches (32 MiB) and one crystal group's receivers
+        assert peak < 48 * 2**20

@@ -89,6 +89,10 @@ class TestRandomPureState:
     def test_distinct_seeds_differ(self):
         assert not np.allclose(random_pure_state(4, 1), random_pure_state(4, 2))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            random_pure_state(4, -1)
+
     def test_first_amplitude_moment_matches_haar(self):
         # E |<0|psi>|^2 = 1/d for Haar-like states; Monte Carlo over 10^4 seeds
         d, n = 4, 10_000
