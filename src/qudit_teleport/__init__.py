@@ -40,7 +40,6 @@ from .protocol import (
     enumerate_outcomes,
     inversion,
     run_protocol,
-    weyl_correction,
 )
 from .states import (
     basis_state,

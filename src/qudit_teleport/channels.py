@@ -90,6 +90,7 @@ class KrausChannel:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "operators", tuple(np.asarray(op, dtype=complex) for op in self.operators))
         if not self.operators:
             raise CompletenessError("channel has no Kraus operators")
         for op in self.operators:
@@ -97,7 +98,8 @@ class KrausChannel:
                 raise ValueError(f"Kraus operator shape {op.shape} != ({self.d}, {self.d})")
         total = sum(op.conj().T @ op for op in self.operators)
         residual = float(np.max(np.abs(total - np.eye(self.d))))
-        if residual > EXACT_TOL:
+        # written so that a NaN residual fails too
+        if not residual <= EXACT_TOL:
             raise CompletenessError(
                 f"sum C^dag C deviates from identity by {residual:.3e} "
                 f"(channel {self.label or '<unlabeled>'})"

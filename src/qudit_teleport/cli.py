@@ -38,8 +38,6 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_DIMS = (2, 3, 4, 5, 8)
-DEFAULT_P_GRID = "0:1:0.1"
 RUNTIME_WARN_DIM = 8
 # A start:end:step grid is built point by point, so its size is capped.
 MAX_GRID_POINTS = 10**6
@@ -61,20 +59,6 @@ class InputSpec:
         if self.kind == "random":
             return f"random:{self.count}:{self.base_seed}"
         return f"file:{self.path}"
-
-
-@dataclass
-class SweepConfig:
-    dims: tuple[int, ...] = DEFAULT_DIMS
-    p_grid: tuple[float, ...] = ()
-    input_spec: InputSpec = field(default_factory=lambda: InputSpec(kind="uniform"))
-    noise_variant: str = "weyl"
-    noise_targets: tuple[str, ...] = ("a1", "a2")
-    correction_scheme: str = DERIVED_EXACT
-    eta: float | None = None
-    out_path: str | None = None
-    fmt: str = "csv"
-    measure_runtime: bool = False
 
 
 @dataclass
@@ -238,24 +222,44 @@ def _choice(key: str, allowed: tuple[str, ...]):
 CORRECTIONS = (PAPER_WEYL, DERIVED_EXACT)
 FORMATS = ("csv", "json")
 
-# Config key (also the argparse dest) -> (parser, default). A parser takes the
-# flag's text or the JSON value and raises ValueError on a bad type or value.
-_SETTINGS = {
-    "dims": (_parse_dims, ",".join(map(str, DEFAULT_DIMS))),
-    "p_grid": (parse_p_grid, DEFAULT_P_GRID),
-    "input": (_parse_input, "uniform"),
-    "noise": (_choice("noise", VARIANTS), "weyl"),
-    "noise_targets": (_parse_targets, "a1,a2"),
-    "correction": (_choice("correction", CORRECTIONS), DERIVED_EXACT),
-    "eta": (_parse_eta, None),
-    "out": (lambda raw: _require_str(raw, "out"), None),
-    "format": (_choice("format", FORMATS), "csv"),
-    "timing": (_parse_timing, False),
-}
-
 
 def _metavar(allowed: tuple[str, ...]) -> str:
     return "{" + ",".join(allowed) + "}"
+
+
+def _setting(parse, default, help: str, metavar: str | None = None):
+    """A SweepConfig field that declares one CLI setting.
+
+    ``parse`` takes the flag's text or the JSON value and raises ValueError on
+    a bad type or value. ``default`` is in that same form and goes through
+    ``parse``, so ``SweepConfig()`` holds the CLI defaults. A string default
+    is shown in the help; a bool default makes the flag a switch.
+    """
+    return field(
+        default=None if default is None else parse(default),
+        metadata={"parse": parse, "default": default, "help": help, "metavar": metavar},
+    )
+
+
+@dataclass
+class SweepConfig:
+    """The sweep settings, each declared once by its field.
+
+    A field's name is its --config key, and the name with - for _ is its flag.
+    """
+
+    dims: tuple[int, ...] = _setting(_parse_dims, "2,3,4,5,8", "comma-separated dimensions", "LIST")
+    p_grid: tuple[float, ...] = _setting(parse_p_grid, "0:1:0.1", "inclusive probability grid", "S:E:STEP")
+    input: InputSpec = _setting(_parse_input, "uniform", "uniform | random:N:SEED | file:PATH", "SPEC")
+    noise: str = _setting(_choice("noise", VARIANTS), "weyl", "crosstalk variant", _metavar(VARIANTS))
+    noise_targets: tuple[str, ...] = _setting(_parse_targets, "a1,a2", "a1,a2 or a2", "LIST")
+    correction: str = _setting(
+        _choice("correction", CORRECTIONS), DERIVED_EXACT, "correction scheme", _metavar(CORRECTIONS)
+    )
+    eta: float | None = _setting(_parse_eta, None, "upconversion efficiency in [0, 1], reporting only")
+    out: str | None = _setting(lambda raw: _require_str(raw, "out"), None, "output path (default stdout)", "PATH")
+    format: str = _setting(_choice("format", FORMATS), "csv", "output format", _metavar(FORMATS))
+    timing: bool = _setting(_parse_timing, False, "record wall-clock runtime_ms (breaks byte determinism)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,25 +268,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sweep teleportation fidelity over dimensions and crosstalk strength.",
     )
     parser.add_argument("--config", metavar="PATH", help="JSON file with sweep settings; flags override")
-    parser.add_argument("--dims", metavar="LIST", help=f"comma-separated dimensions (default {','.join(map(str, DEFAULT_DIMS))})")
-    parser.add_argument("--p-grid", metavar="S:E:STEP", help=f"inclusive probability grid (default {DEFAULT_P_GRID})")
-    parser.add_argument("--input", metavar="SPEC", help="uniform | random:N:SEED | file:PATH (default uniform)")
-    parser.add_argument("--noise", metavar=_metavar(VARIANTS), help="crosstalk variant (default weyl)")
-    parser.add_argument("--noise-targets", metavar="LIST", help="a1,a2 or a2 (default a1,a2)")
-    parser.add_argument("--correction", metavar=_metavar(CORRECTIONS), help="correction scheme (default derived-exact)")
-    parser.add_argument("--eta", help="upconversion efficiency in [0, 1], reporting only")
-    parser.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    parser.add_argument("--format", metavar=_metavar(FORMATS), help="output format (default csv)")
-    parser.add_argument("--timing", action="store_true", default=None, help="record wall-clock runtime_ms (breaks byte determinism)")
+    for f in fields(SweepConfig):
+        flag = "--" + f.name.replace("_", "-")
+        default, help = f.metadata["default"], f.metadata["help"]
+        if isinstance(default, str):
+            help = f"{help} (default {default})"
+        if isinstance(default, bool):
+            parser.add_argument(flag, action="store_true", default=None, help=help)
+        else:
+            parser.add_argument(flag, metavar=f.metadata["metavar"], help=help)
     return parser
 
 
 def parse_cli(argv: list[str] | None = None) -> SweepConfig:
     """Parse flags (and optional --config file) into a SweepConfig.
 
-    Each setting goes through one parser, whether it comes from a flag or
-    from the config file. A malformed value exits with status 2 and a
-    one-line message on stderr.
+    Each setting goes through its field's one parser, whether it comes from
+    a flag or from the config file. A malformed value exits with status 2
+    and a one-line message on stderr.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -301,35 +304,22 @@ def parse_cli(argv: list[str] | None = None) -> SweepConfig:
             fail(f"config file is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
             fail("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_SETTINGS)
+        unknown = set(file_cfg) - {f.name for f in fields(SweepConfig)}
         if unknown:
             fail(f"unknown config file keys: {sorted(unknown)}")
 
-    # a flag beats the file, the file beats the default; null means unset
+    # a flag beats the file, the file beats the field default; null means unset
     values = {}
-    for key, (parse, default) in _SETTINGS.items():
-        raw = getattr(args, key)
+    for f in fields(SweepConfig):
+        raw = getattr(args, f.name)
         if raw is None:
-            raw = file_cfg.get(key)
-        if raw is None:
-            raw = default
-        try:
-            values[key] = None if raw is None else parse(raw)
-        except ValueError as exc:
-            fail(str(exc))
-
-    return SweepConfig(
-        dims=values["dims"],
-        p_grid=values["p_grid"],
-        input_spec=values["input"],
-        noise_variant=values["noise"],
-        noise_targets=values["noise_targets"],
-        correction_scheme=values["correction"],
-        eta=values["eta"],
-        out_path=values["out"],
-        fmt=values["format"],
-        measure_runtime=values["timing"],
-    )
+            raw = file_cfg.get(f.name)
+        if raw is not None:
+            try:
+                values[f.name] = f.metadata["parse"](raw)
+            except ValueError as exc:
+                fail(str(exc))
+    return SweepConfig(**values)
 
 
 def _input_instances(spec: InputSpec, d: int) -> list[tuple[int, np.ndarray]]:
@@ -355,9 +345,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     etp = config.eta if config.eta is not None else 1.0
     result = SweepResult()
     for d in sorted(config.dims):
-        instances = _input_instances(config.input_spec, d)
+        instances = _input_instances(config.input, d)
         for p in sorted(config.p_grid):
-            channel = crosstalk_channel(d, p, config.noise_variant)
+            channel = crosstalk_channel(d, p, config.noise)
             ch_a1 = channel if "a1" in config.noise_targets else None
             ch_a2 = channel if "a2" in config.noise_targets else None
             for seed, state in instances:
@@ -369,7 +359,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         convention="general",
                         noise_a1=ch_a1,
                         noise_a2=ch_a2,
-                        correction=config.correction_scheme,
+                        correction=config.correction,
                     )
                 )
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -377,14 +367,14 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                     SweepRow(
                         d=d,
                         p=p,
-                        noise_variant=config.noise_variant,
+                        noise_variant=config.noise,
                         noise_mode=INDEPENDENT,
-                        correction_scheme=config.correction_scheme,
-                        input_spec=config.input_spec.label,
+                        correction_scheme=config.correction,
+                        input_spec=config.input.label,
                         seed=seed,
                         avg_fidelity=proto.average_fidelity,
                         min_outcome_fidelity=proto.min_outcome_fidelity,
-                        runtime_ms=elapsed_ms if config.measure_runtime else 0.0,
+                        runtime_ms=elapsed_ms if config.timing else 0.0,
                         expected_trigger_probability=etp,
                     )
                 )
@@ -422,7 +412,7 @@ def _large_dim_warning(config: SweepConfig) -> str | None:
     if not big:
         return None
     d, p = max(big), max(config.p_grid)
-    count = crosstalk_kraus_count(d, p, config.noise_variant)
+    count = crosstalk_kraus_count(d, p, config.noise)
     branches = count ** len(config.noise_targets)
     size = branches * d**3 * np.dtype(complex).itemsize
     return (
@@ -448,13 +438,13 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return 4
-    data = emit(result, config.fmt)
-    if config.out_path is None:
+    data = emit(result, config.format)
+    if config.out is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return 0
     try:
-        with open(config.out_path, "wb") as fh:
+        with open(config.out, "wb") as fh:
             fh.write(data)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

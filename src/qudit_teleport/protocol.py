@@ -87,7 +87,6 @@ __all__ = [
     "inversion",
     "compose_initial",
     "enumerate_outcomes",
-    "weyl_correction",
     "derived_exact_correction",
     "run_protocol",
 ]
@@ -256,11 +255,6 @@ def _outcome_map(
     return records
 
 
-def weyl_correction(d: int, i: int, m: int) -> np.ndarray:
-    """Plain Weyl correction U_(i,m) for outcome (i, m)."""
-    return weyl(d, i, m)
-
-
 def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) -> np.ndarray:
     """Unit-fidelity correction unitary for one noiseless outcome.
 
@@ -288,10 +282,12 @@ class CorrectionTable:
         missing = [(i, m) for i in range(self.d) for m in range(self.d) if (i, m) not in self.entries]
         if missing:
             raise ValueError("no correction for outcome (i={}, m={})".format(*missing[0]))
+        self.entries = {key: np.asarray(u, dtype=complex) for key, u in self.entries.items()}
         for (i, m), u in self.entries.items():
             if u.shape != (self.d, self.d):
                 raise ValueError(f"correction for ({i}, {m}) has shape {u.shape}")
-            if np.max(np.abs(u @ u.conj().T - np.eye(self.d))) > ROUNDOFF_TOL:
+            # written so that a NaN entry fails too
+            if not np.max(np.abs(u @ u.conj().T - np.eye(self.d))) <= ROUNDOFF_TOL:
                 raise ValueError(
                     f"correction for ({i}, {m}) is not unitary within {ROUNDOFF_TOL:g}"
                 )

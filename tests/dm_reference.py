@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from qudit_teleport.channels import weyl
 from qudit_teleport.measurement import crystal_operator, qft
-from qudit_teleport.protocol import derived_exact_correction, weyl_correction
+from qudit_teleport.protocol import derived_exact_correction
 from qudit_teleport.states import bell_state
 
 
@@ -33,17 +34,11 @@ def _fidelity_eig(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(_sqrt_spectrum(ev)))
 
 
-def _embedded_kraus(d, ops_a1, ops_a2, mode):
+def _embedded_kraus(d, ops_a1, ops_a2):
     eye_d = np.eye(d, dtype=complex)
     a1 = ops_a1 if ops_a1 is not None else [eye_d]
     a2 = ops_a2 if ops_a2 is not None else [eye_d]
-    if mode == "independent":
-        pairs = [(x, y) for x in a1 for y in a2]
-    else:
-        if len(a1) != len(a2):
-            raise ValueError("correlated mode needs equal operator counts")
-        pairs = list(zip(a1, a2))
-    return [np.kron(np.kron(x, y), eye_d) for x, y in pairs]
+    return [np.kron(np.kron(x, y), eye_d) for x in a1 for y in a2]
 
 
 def run_protocol_dm(
@@ -52,7 +47,6 @@ def run_protocol_dm(
     *,
     ops_a1=None,
     ops_a2=None,
-    mode: str = "independent",
     correction: str = "derived-exact",
     convention: str = "general",
 ):
@@ -63,7 +57,7 @@ def run_protocol_dm(
     rho = np.kron(rho_in, np.outer(bell, bell.conj()))
 
     if ops_a1 is not None or ops_a2 is not None:
-        rho = sum(k @ rho @ k.conj().T for k in _embedded_kraus(d, ops_a1, ops_a2, mode))
+        rho = sum(k @ rho @ k.conj().T for k in _embedded_kraus(d, ops_a1, ops_a2))
 
     eye_d = np.eye(d, dtype=complex)
     F = qft(d)
@@ -81,7 +75,7 @@ def run_protocol_dm(
             if correction == "derived-exact":
                 u = derived_exact_correction(d, i, m, convention)
             else:
-                u = weyl_correction(d, i, m)
+                u = weyl(d, i, m)
             sigma = u @ sigma @ u.conj().T
             fid = _fidelity_eig(rho_in, sigma)
             outcomes.append((i, m, p, fid))

@@ -16,6 +16,7 @@ from qudit_teleport.channels import (
     weyl,
 )
 from qudit_teleport.linalg import WEIGHT_FLOOR
+from qudit_teleport.protocol import ProtocolConfig, run_protocol
 from qudit_teleport.states import basis_state, uniform_state
 
 from conftest import isometry_channel
@@ -125,6 +126,17 @@ class TestKrausChannelValidation:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             KrausChannel(d=2, operators=(np.eye(3, dtype=complex),))
+
+    def test_nan_operator_rejected(self):
+        with pytest.raises(CompletenessError):
+            KrausChannel(d=2, operators=(np.array([[np.nan, 0], [0, 1]]),))
+
+    def test_nested_list_operators_accepted(self):
+        ch = KrausChannel(d=2, operators=([[0, 1], [1, 0]],))
+        assert ch.operators[0].dtype == complex
+        assert ch.is_weyl
+        out = run_protocol(ProtocolConfig(d=2, input_state=uniform_state(2), noise_a1=ch))
+        assert abs(out.average_fidelity - 1) < 1e-12
 
 
 class TestIsWeyl:

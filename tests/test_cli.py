@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,14 +53,14 @@ class TestParseCli:
         cfg = parse_cli([])
         assert cfg.dims == (2, 3, 4, 5, 8)
         assert len(cfg.p_grid) == 11
-        assert cfg.input_spec.kind == "uniform"
-        assert cfg.noise_variant == "weyl"
+        assert cfg.input.kind == "uniform"
+        assert cfg.noise == "weyl"
         assert cfg.noise_targets == ("a1", "a2")
-        assert cfg.correction_scheme == "derived-exact"
+        assert cfg.correction == "derived-exact"
         assert cfg.eta is None
-        assert cfg.out_path is None
-        assert cfg.fmt == "csv"
-        assert cfg.measure_runtime is False
+        assert cfg.out is None
+        assert cfg.format == "csv"
+        assert cfg.timing is False
 
     def test_single_point_config(self):
         cfg = parse_cli(["--dims", "2", "--p-grid", "0:0:1", "--input", "uniform"])
@@ -67,8 +68,8 @@ class TestParseCli:
 
     def test_random_input_spec(self):
         cfg = parse_cli(["--input", "random:5:42"])
-        assert cfg.input_spec == InputSpec(kind="random", count=5, base_seed=42)
-        assert cfg.input_spec.label == "random:5:42"
+        assert cfg.input == InputSpec(kind="random", count=5, base_seed=42)
+        assert cfg.input.label == "random:5:42"
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_random_seed_exits_2(self, tmp_path, capsys, source):
@@ -84,7 +85,7 @@ class TestParseCli:
 
     def test_file_input_spec(self):
         cfg = parse_cli(["--input", "file:/tmp/state.txt"])
-        assert cfg.input_spec.kind == "file" and cfg.input_spec.path == "/tmp/state.txt"
+        assert cfg.input.kind == "file" and cfg.input.path == "/tmp/state.txt"
 
     def test_noise_targets_a2_only(self):
         cfg = parse_cli(["--noise-targets", "a2"])
@@ -122,7 +123,7 @@ class TestParseCli:
         cfg = parse_cli(["--config", str(cfg_path), "--noise", "shift"])
         assert cfg.dims == (2, 3)
         assert cfg.p_grid == (0.0,)
-        assert cfg.noise_variant == "shift"  # flag beats file
+        assert cfg.noise == "shift"  # flag beats file
         assert cfg.eta == pytest.approx(1.5e-8)
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -189,6 +190,80 @@ class TestParseCli:
         with pytest.raises(SystemExit) as exc:
             parse_cli(["--config", "/nonexistent/sweep.json"])
         assert exc.value.code == 2
+
+
+# `qudit-teleport --help` at COLUMNS=80, frozen when the settings moved onto
+# SweepConfig's fields
+HELP_AT_80_COLUMNS = (
+    "usage: qudit-teleport [-h] [--config PATH] [--dims LIST] [--p-grid S:E:STEP]\n"
+    "                      [--input SPEC] [--noise {shift,phase,weyl}]\n"
+    "                      [--noise-targets LIST]\n"
+    "                      [--correction {paper-weyl,derived-exact}] [--eta ETA]\n"
+    "                      [--out PATH] [--format {csv,json}] [--timing]\n"
+    "\n"
+    "Sweep teleportation fidelity over dimensions and crosstalk strength.\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --config PATH         JSON file with sweep settings; flags override\n"
+    "  --dims LIST           comma-separated dimensions (default 2,3,4,5,8)\n"
+    "  --p-grid S:E:STEP     inclusive probability grid (default 0:1:0.1)\n"
+    "  --input SPEC          uniform | random:N:SEED | file:PATH (default uniform)\n"
+    "  --noise {shift,phase,weyl}\n"
+    "                        crosstalk variant (default weyl)\n"
+    "  --noise-targets LIST  a1,a2 or a2 (default a1,a2)\n"
+    "  --correction {paper-weyl,derived-exact}\n"
+    "                        correction scheme (default derived-exact)\n"
+    "  --eta ETA             upconversion efficiency in [0, 1], reporting only\n"
+    "  --out PATH            output path (default stdout)\n"
+    "  --format {csv,json}   output format (default csv)\n"
+    "  --timing              record wall-clock runtime_ms (breaks byte determinism)\n"
+)
+
+
+class TestSettingDeclarations:
+    def test_dataclass_defaults_are_the_cli_defaults(self):
+        assert SweepConfig() == parse_cli([])
+
+    def test_default_config_runs_the_default_grid(self):
+        assert len(run_sweep(SweepConfig(dims=(2,))).rows) == 11
+
+    def test_large_dim_warning_on_default_config(self):
+        assert cli._large_dim_warning(SweepConfig(dims=(16,))).endswith(
+            "at d = 16, p = 1 the branch array holds 65536 branches of 4096 amplitudes, 4.3 GB"
+        )
+
+    def test_help_snapshot(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            parse_cli(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP_AT_80_COLUMNS
+
+    def test_config_file_with_every_key_matches_flags(self, tmp_path):
+        settings = {
+            "dims": "3,2",
+            "p_grid": "0:0.5:0.25",
+            "input": "random:2:5",
+            "noise": "phase",
+            "noise_targets": "a2",
+            "correction": "paper-weyl",
+            "eta": 0.5,
+            "out": "x.csv",
+            "format": "json",
+            "timing": True,
+        }
+        assert set(settings) == {f.name for f in fields(SweepConfig)}
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(settings))
+        from_file = parse_cli(["--config", str(cfg_path)])
+        argv = ["--timing"]
+        for key, value in settings.items():
+            if key != "timing":
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        assert from_file == parse_cli(argv)
+        default = SweepConfig()
+        assert all(getattr(from_file, key) != getattr(default, key) for key in settings)
 
 
 class TestRunSweep:

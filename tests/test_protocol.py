@@ -33,7 +33,6 @@ from qudit_teleport.protocol import (
     enumerate_outcomes,
     inversion,
     run_protocol,
-    weyl_correction,
 )
 from qudit_teleport.states import basis_state, bell_state, random_pure_state, uniform_state
 
@@ -157,20 +156,20 @@ class TestEnumerateOutcomes:
 
 class TestWeylCorrection:
     def test_identity_outcome(self):
-        np.testing.assert_array_equal(weyl_correction(3, 0, 0), np.eye(3))
+        np.testing.assert_array_equal(weyl(3, 0, 0), np.eye(3))
 
     def test_d2_table_matches_su2_set(self):
         # (i, m): (0,0) -> 1, (1,0) -> sigma_z, (0,1) -> sigma_x, (1,1) -> i sigma_y
-        np.testing.assert_array_equal(weyl_correction(2, 0, 0), np.eye(2))
-        np.testing.assert_array_equal(weyl_correction(2, 1, 0), SZ)
-        np.testing.assert_array_equal(weyl_correction(2, 0, 1), SX)
-        np.testing.assert_allclose(weyl_correction(2, 1, 1), ISY, atol=1e-15)
+        np.testing.assert_array_equal(weyl(2, 0, 0), np.eye(2))
+        np.testing.assert_array_equal(weyl(2, 1, 0), SZ)
+        np.testing.assert_array_equal(weyl(2, 0, 1), SX)
+        np.testing.assert_allclose(weyl(2, 1, 1), ISY, atol=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 16])
     def test_unitary(self, d):
         for i in range(d):
             for m in range(d):
-                u = weyl_correction(d, i, m)
+                u = weyl(d, i, m)
                 np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
 
 
@@ -179,7 +178,7 @@ class TestDerivedExactCorrection:
         for i in range(2):
             for m in range(2):
                 got = derived_exact_correction(2, i, m)
-                assert phases_equal(got.reshape(-1), weyl_correction(2, i, m).reshape(-1))
+                assert phases_equal(got.reshape(-1), weyl(2, i, m).reshape(-1))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_composition_structure(self, d):
@@ -333,7 +332,7 @@ class TestRunProtocol:
 
     def test_correction_table_dimension_mismatch_rejected(self):
         table = CorrectionTable(
-            d=2, entries={(i, m): weyl_correction(2, i, m) for i in range(2) for m in range(2)}
+            d=2, entries={(i, m): weyl(2, i, m) for i in range(2) for m in range(2)}
         )
         with pytest.raises(ValueError, match="dimension 2, the run has dimension 3"):
             run_protocol(ProtocolConfig(d=3, input_state=uniform_state(3), correction=table))
@@ -349,6 +348,20 @@ class TestRunProtocol:
         entries = {(i, m): np.eye(3) for i in range(3) for m in range(3) if (i, m) != (2, 1)}
         with pytest.raises(ValueError, match=r"no correction for outcome \(i=2, m=1\)"):
             CorrectionTable(d=3, entries=entries)
+
+    def test_correction_table_nan_entry_rejected(self):
+        entries = {(i, m): weyl(2, i, m) for i in range(2) for m in range(2)}
+        entries[(1, 1)] = np.array([[np.nan, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"correction for \(1, 1\) is not unitary"):
+            CorrectionTable(d=2, entries=entries)
+
+    def test_correction_table_nested_list_entries_accepted(self):
+        d = 2
+        entries = {(i, m): derived_exact_correction(d, i, m).tolist() for i in range(d) for m in range(d)}
+        table = CorrectionTable(d=d, entries=entries)
+        assert all(u.dtype == complex for u in table.entries.values())
+        res = run_protocol(ProtocolConfig(d=d, input_state=random_pure_state(d, 4), correction=table))
+        assert abs(res.average_fidelity - 1) < 1e-10
 
     @pytest.mark.parametrize("target", ["a1", "a2"])
     @pytest.mark.parametrize("noise", ["weyl", "isometry"])
@@ -503,7 +516,7 @@ def branch_form_run(config):
         if isinstance(config.correction, CorrectionTable):
             u = config.correction.entries[(rec.i, rec.m)]
         elif config.correction == PAPER_WEYL:
-            u = weyl_correction(d, rec.i, rec.m)
+            u = weyl(d, rec.i, rec.m)
         else:
             u = derived_exact_correction(d, rec.i, rec.m, config.convention)
         s = rec.receiver_state
@@ -711,7 +724,7 @@ class TestMonomialLayer:
     )
     def test_scheme_tables_equal_dense_corrections(self, d, convention):
         dense = {
-            PAPER_WEYL: lambda i, m: weyl_correction(d, i, m),
+            PAPER_WEYL: lambda i, m: weyl(d, i, m),
             DERIVED_EXACT: lambda i, m: derived_exact_correction(d, i, m, convention),
         }
         for scheme, correction in dense.items():
