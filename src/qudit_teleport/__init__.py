@@ -12,6 +12,7 @@ from .channels import (
     SHIFT,
     VARIANTS,
     WEYL,
+    Branches,
     CompletenessError,
     KrausChannel,
     apply_channel_to_branches,

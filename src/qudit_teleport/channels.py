@@ -10,13 +10,19 @@ generalized-Pauli (Weyl) operators; three variants are provided:
 * ``phase`` - the same weights on the pure phase operators U_(i,0).
 * ``weyl``  - weight p spread evenly over all d^2 - 1 non-identity Weyl
   operators U_(i,m). Default for experiments.
+
+Noise acts on a pure joint state in weighted-branch form: ``Branches``
+holds the branch weights as one (n,) array and the kets as one (n, dim)
+array. ``apply_channel_to_branches`` fans every branch out over every Kraus
+operator in one stacked product and returns that product array as the new
+kets, so the next fan-out and the outcome enumeration read it in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +36,7 @@ __all__ = [
     "INDEPENDENT",
     "CompletenessError",
     "KrausChannel",
+    "Branches",
     "weyl",
     "weyl_phases",
     "crosstalk_channel",
@@ -96,6 +103,11 @@ class KrausChannel:
         for op in self.operators:
             if op.shape != (self.d, self.d):
                 raise ValueError(f"Kraus operator shape {op.shape} != ({self.d}, {self.d})")
+        # checked before any product, which would warn on inf * 0
+        if not np.isfinite(self.operator_stack).all():
+            raise CompletenessError(
+                f"channel {self.label or '<unlabeled>'} has a non-finite Kraus operator entry"
+            )
         total = sum(op.conj().T @ op for op in self.operators)
         residual = float(np.max(np.abs(total - np.eye(self.d))))
         # written so that a NaN residual fails too
@@ -104,6 +116,13 @@ class KrausChannel:
                 f"sum C^dag C deviates from identity by {residual:.3e} "
                 f"(channel {self.label or '<unlabeled>'})"
             )
+
+    @cached_property
+    def operator_stack(self) -> np.ndarray:
+        """The operators as one read-only (K, d, d) array, built once per channel."""
+        stack = np.stack(self.operators)
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def is_weyl(self) -> bool:
@@ -156,12 +175,63 @@ def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
     return KrausChannel(d=d, operators=tuple(ops), label=f"{variant}(d={d},p={p:g})")
 
 
+@dataclass(frozen=True, eq=False)
+class Branches:
+    """Weighted pure-state branches held as two arrays.
+
+    ``weights`` has shape (n,) and ``kets`` shape (n, dim), one ket per
+    row. Indexing and iteration give ``(weight, ket)`` pairs, the ket a row
+    view of ``kets``, so a ``Branches`` reads like the list of pairs it
+    stands for.
+    """
+
+    weights: np.ndarray
+    kets: np.ndarray
+
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=float)
+        kets = np.ascontiguousarray(self.kets, dtype=complex)
+        if kets.ndim != 2 or weights.shape != kets.shape[:1]:
+            raise ValueError(f"{weights.shape} weights for kets of shape {kets.shape}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "kets", kets)
+
+    @classmethod
+    def of(cls, branches: Branches | Sequence[tuple[float, np.ndarray]], size: int) -> Branches:
+        """``branches`` with every ket checked to hold ``size`` amplitudes.
+
+        A ``Branches`` is returned as it is; a sequence of (weight, ket)
+        pairs is checked pair by pair and then stacked once.
+        """
+        if isinstance(branches, cls):
+            if branches.kets.shape[1] != size:
+                raise ValueError(
+                    f"branch state has dimension {branches.kets.shape[1:]}, subsystems give {size}"
+                )
+            return branches
+        kets = [np.asarray(psi, dtype=complex) for _, psi in branches]
+        for psi in kets:
+            if psi.shape != (size,):
+                raise ValueError(f"branch state has dimension {psi.shape}, subsystems give {size}")
+        stack = np.stack(kets) if kets else np.empty((0, size), dtype=complex)
+        return cls(np.array([w for w, _ in branches], dtype=float), stack)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def __getitem__(self, j: int) -> tuple[float, np.ndarray]:
+        return float(self.weights[j]), self.kets[j]
+
+    def __iter__(self) -> Iterator[tuple[float, np.ndarray]]:
+        return zip(self.weights.tolist(), self.kets)
+
+
 def apply_channel_to_branches(
     channel: KrausChannel,
-    branches: Sequence[tuple[float, np.ndarray]],
+    branches: Branches | Sequence[tuple[float, np.ndarray]],
     dims: Sequence[int],
     target: int,
-) -> list[tuple[float, np.ndarray]]:
+) -> Branches:
     """Apply a channel to one subsystem of weighted pure-state branches.
 
     ``dims`` lists the subsystem dimensions of every branch state and
@@ -171,8 +241,11 @@ def apply_channel_to_branches(
     branch-major, operator-minor; branches at or below ``WEIGHT_FLOOR`` are
     dropped. Total weight is preserved.
 
-    Every operator meets every branch in one stacked product, so the
-    returned kets are rows of one (branches x operators, prod(dims)) array.
+    ``branches`` is a ``Branches`` or a sequence of (weight, ket) pairs,
+    which is stacked once. Every operator meets every branch in one stacked
+    product, written into one (branches x operators, prod(dims)) array; the
+    returned ``Branches`` holds that array itself when no branch is dropped,
+    and its kept rows otherwise.
     """
     dims = tuple(int(x) for x in dims)
     if not 0 <= target < len(dims):
@@ -183,19 +256,13 @@ def apply_channel_to_branches(
             f"of dimension {dims[target]}"
         )
     total = int(np.prod(dims))
-    kets = [np.asarray(psi, dtype=complex) for _, psi in branches]
-    for psi in kets:
-        if psi.shape != (total,):
-            raise ValueError(
-                f"branch state has dimension {psi.shape}, subsystems give {total}"
-            )
-    if not kets:
-        return []
+    branches = Branches.of(branches, total)
+    if not len(branches):
+        return branches
     pre = int(np.prod(dims[:target], initial=1))
     post = int(np.prod(dims[target + 1 :], initial=1))
-    weights = np.array([w for w, _ in branches], dtype=float)
-    stack = np.stack(kets)
-    ops = np.stack(channel.operators)
+    weights, stack = branches.weights, branches.kets
+    ops = channel.operator_stack
     n_in, n_ops = weights.size, ops.shape[0]
 
     # out[b, k] = (I (x) C_k (x) I) psi_b, one small GEMM per (branch, operator, pre)
@@ -215,9 +282,10 @@ def apply_channel_to_branches(
         )
     kept = new_weights > WEIGHT_FLOOR
     # numpy divides complex by real as a product with the reciprocal, so this is
-    # psi / ||psi|| bit for bit; dropped rows are zeroed
+    # psi / ||psi|| bit for bit; dropped rows get scale 0, not a division by 0
     scale = np.zeros_like(norms)
     np.divide(1.0, norms, out=scale, where=kept)
     flat *= scale[:, None]
-    index = kept.nonzero()[0]
-    return list(zip(new_weights[index].tolist(), (rows[j] for j in index.tolist())))
+    if kept.all():
+        return Branches(new_weights, rows)
+    return Branches(new_weights[kept], rows[kept])

@@ -29,10 +29,12 @@ Every measurement row and every correction is a monomial matrix: d nonzero
 entries, one per row and column. The engines read the rows as
 ``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
 and the named schemes are tabled the same way in closed form, as
-(position, phase) per outcome with position row*d + column. Scoring builds
-one outcome's d x d unitary from its entry and applies it as u rho u^dag.
-No run path builds a d^4 array: the dense rows are 268 MB at d = 64 and
-4.3 GB at d = 128.
+(column, phase) per row of each outcome's unitary u. Scoring applies u as
+gathers, u psi = phases * psi[columns] and u rho u^dag =
+(phases phases^dag) * rho[columns][:, columns], with no d x d unitary and no
+matrix product; only a ``CorrectionTable``, whose entries may be any
+unitaries, is applied as dense products. No run path builds a d^4 array:
+the dense rows are 268 MB at d = 64 and 4.3 GB at d = 128.
 
 Engines
 -------
@@ -42,14 +44,15 @@ the weight the run carries (||phi||^2 for the input phi) within 1e-10.
 
 branch        ``apply_channel_to_branches`` fans the joint ket out into one
               weighted (A1, A2, B) ket per Kraus pair, one stacked product
-              per fan-out whose rows it returns, and ``enumerate_outcomes``
-              contracts every branch with every measurement row, streamed
-              one crystal group at a time: a gather of the d (A1, A2) slabs
-              the group accepts, a product with the QFT phases, then the
-              group's norms, probabilities and records. The largest arrays
-              are the branch kets, K_a1 K_a2 d^3 amplitudes, and their
-              stack in the enumeration; one group's receivers are 1/d of
-              that. Used when the run is noiseless or every configured
+              per fan-out, and hands on the weights and that product array
+              as a ``channels.Branches``. ``enumerate_outcomes`` reads the
+              kets in place and contracts every branch with every
+              measurement row, streamed one crystal group at a time: a
+              gather of the d (A1, A2) slabs the group accepts, a product
+              with the QFT phases, then the group's norms, probabilities and
+              records. The largest array is the branch kets, K_a1 K_a2 d^3
+              amplitudes, held once; one group's receivers are 1/d of that.
+              Used when the run is noiseless or every configured
               channel holds only scaled Weyl operators c U_(i,m)
               (``KrausChannel.is_weyl``).
 outcome map   any other channel. With Phi the Bell pair reshaped to d x d
@@ -72,7 +75,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INDEPENDENT, KrausChannel, apply_channel_to_branches, weyl, weyl_phases
+from .channels import (
+    INDEPENDENT,
+    Branches,
+    KrausChannel,
+    apply_channel_to_branches,
+    weyl,
+    weyl_phases,
+)
 from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
 from .measurement import GENERAL, measurement_rows, monomial_rows
 from .states import bell_state, is_normalized
@@ -117,7 +127,8 @@ def compose_initial(input_state: np.ndarray, bell: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"bell state has dimension {bell.size}, expected {d * d} for input dimension {d}"
         )
-    return np.kron(input_state, bell)
+    # the outer product's entries are the kron's, bit for bit
+    return np.outer(input_state, bell).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -138,23 +149,23 @@ class OutcomeRecord:
 
 def enumerate_outcomes(
     d: int,
-    branches: Sequence[tuple[float, np.ndarray]],
+    branches: Branches | Sequence[tuple[float, np.ndarray]],
     convention: str = GENERAL,
 ) -> list[OutcomeRecord]:
     """Exact outcome table over all d^2 (detector, crystal) pairs.
 
-    Branches are weighted kets over the (A1, A2, B) system. Probabilities
-    sum to the weight the branches carry, sum_b w_b ||psi_b||^2, within
-    1e-10. Reads only the monomial rows and works one crystal group at a
-    time: besides the stacked branches, the largest array holds one group's
-    d receivers of every branch, d^2 amplitudes per branch.
+    Branches are weighted kets over the (A1, A2, B) system: a ``Branches``,
+    read in place, or a sequence of (weight, ket) pairs, stacked once.
+    Probabilities sum to the weight the branches carry,
+    sum_b w_b ||psi_b||^2, within 1e-10. Reads only the monomial rows and
+    works one crystal group at a time: besides the branch kets, the largest
+    array holds one group's d receivers of every branch, d^2 amplitudes per
+    branch.
     """
-    weights = np.array([w for w, _ in branches], dtype=float)
-    if weights.size == 0:
+    branches = Branches.of(branches, d**3)
+    if not len(branches):
         raise ValueError("no input branches")
-    stack = np.stack([np.asarray(v, dtype=complex) for _, v in branches])
-    if stack.shape[1] != d ** 3:
-        raise ValueError(f"branch states have dimension {stack.shape[1]}, expected {d ** 3}")
+    weights, stack = branches.weights, branches.kets
     nb = weights.size
     cube = stack.reshape(nb, d * d, d).transpose(1, 0, 2)  # (A1A2, branch, B) view
     flat = stack.view(np.float64)
@@ -205,18 +216,18 @@ def _outcome_map(
     d: int,
     phi: np.ndarray,
     bell: np.ndarray,
-    ops_a1: Sequence[np.ndarray],
-    ops_a2: Sequence[np.ndarray],
+    ops_a1: np.ndarray,
+    ops_a2: np.ndarray,
     convention: str,
 ) -> list[OutcomeRecord]:
     """The outcome table of ``enumerate_outcomes`` without the branch kets.
 
-    Pair (k, l) is ordered k * len(ops_a2) + l, as the fan-out orders its
-    branches.
+    ``ops_a1`` and ``ops_a2`` are (K, d, d) operator stacks. Pair (k, l) is
+    ordered k * len(ops_a2) + l, as the fan-out orders its branches.
     """
-    x_in = np.stack(ops_a1) @ phi  # A_k phi, (K_a, d)
+    x_in = ops_a1 @ phi  # A_k phi, (K_a, d)
     # B_l Phi laid out (A2, (l, B)): x @ b_out is V for every l at once
-    b_out = (np.stack(ops_a2) @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
+    b_out = (ops_a2 @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
     n_a1, pairs = x_in.shape[0], x_in.shape[0] * len(ops_a2)
     positions, phases = monomial_rows(d, convention)
     # the receiver kets are a chunk's largest array: pairs * d amplitudes per outcome
@@ -286,7 +297,9 @@ class CorrectionTable:
         for (i, m), u in self.entries.items():
             if u.shape != (self.d, self.d):
                 raise ValueError(f"correction for ({i}, {m}) has shape {u.shape}")
-            # written so that a NaN entry fails too
+            # checked before the product, which would warn on inf * 0
+            if not np.isfinite(u).all():
+                raise ValueError(f"correction for ({i}, {m}) is not unitary: non-finite entry")
             if not np.max(np.abs(u @ u.conj().T - np.eye(self.d))) <= ROUNDOFF_TOL:
                 raise ValueError(
                     f"correction for ({i}, {m}) is not unitary within {ROUNDOFF_TOL:g}"
@@ -326,11 +339,10 @@ class ProtocolResult:
 
 @lru_cache(maxsize=32)
 def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, np.ndarray]:
-    """A named scheme's d^2 monomial unitaries as (positions, phases), indexed by i*d + m.
+    """A named scheme's d^2 monomial unitaries as (columns, phases), indexed by i*d + m.
 
-    Outcome o's unitary holds phases[o, k] at row k, column c, with
-    positions[o, k] = k*d + c its row-major index. Both arrays have shape
-    (d^2, d) and are returned read-only.
+    Outcome o's unitary holds phases[o, k] at row k, column columns[o, k].
+    Both arrays have shape (d^2, d) and are returned read-only.
     """
     k = np.arange(d)
     i, m = np.divmod(np.arange(d * d)[:, None], d)
@@ -353,20 +365,21 @@ def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, np.
         phases[o, a] = np.sqrt(d) * row_phases.conj()
     else:
         raise ValueError(f"unknown correction scheme {scheme!r}")
-    positions = k * d + columns
-    positions.setflags(write=False)
+    columns.setflags(write=False)
     phases.setflags(write=False)
-    return positions, phases
+    return columns, phases
 
 
-def _correction_matrix(config: ProtocolConfig, i: int, m: int) -> np.ndarray:
-    if isinstance(config.correction, CorrectionTable):
-        return config.correction.entries[(i, m)]
-    d = config.d
-    positions, phases = _scheme_table(d, config.correction, config.convention)
-    u = np.zeros(d * d, dtype=complex)
-    u[positions[i * d + m]] = phases[i * d + m]
-    return u.reshape(d, d)
+def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """u psi for a ket, u rho u^dag for a density matrix, u[k, columns[k]] = phases[k].
+
+    Gathers in the order the dense products multiply: (u psi)_k =
+    phases_k psi_(c_k) and (u rho u^dag)_(k,l) = phases_k rho_(c_k, c_l)
+    conj(phases_l).
+    """
+    if state.ndim == 1:
+        return phases * state[columns]
+    return phases[:, None] * state[np.ix_(columns, columns)] * phases.conj()
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -399,26 +412,31 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
 
     bell = bell_state(d, config.bell_label)
     if all(channel is None or channel.is_weyl for channel in noise):
-        branches: list[tuple[float, np.ndarray]] = [(1.0, compose_initial(phi, bell))]
+        branches = Branches(np.ones(1), compose_initial(phi, bell)[None])
         # An independent product acts as a1 then a2 on disjoint targets.
         for target, channel in enumerate(noise):
             if channel is not None:
                 branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
         records = enumerate_outcomes(d, branches, config.convention)
     else:
-        ops = [(np.eye(d, dtype=complex),) if ch is None else ch.operators for ch in noise]
+        ops = [np.eye(d, dtype=complex)[None] if ch is None else ch.operator_stack for ch in noise]
         records = _outcome_map(d, phi, bell, *ops, config.convention)
 
+    table = config.correction if isinstance(config.correction, CorrectionTable) else None
+    if table is None:
+        columns, phases = _scheme_table(d, config.correction, config.convention)
     avg = 0.0
     min_fid = 1.0
     for k, rec in enumerate(records):
         if rec.probability <= WEIGHT_FLOOR:
             continue
-        u = _correction_matrix(config, rec.i, rec.m)
-        if rec.receiver_state.ndim == 1:
-            state = u @ rec.receiver_state
+        s = rec.receiver_state
+        if table is None:
+            o = rec.i * d + rec.m
+            state = _apply_monomial(columns[o], phases[o], s)
         else:
-            state = u @ rec.receiver_state @ u.conj().T
+            u = table.entries[(rec.i, rec.m)]
+            state = u @ s if s.ndim == 1 else u @ s @ u.conj().T
         fid = pure_fidelity(phi, state)
         records[k] = OutcomeRecord(rec.i, rec.m, rec.probability, state, fid)
         avg += rec.probability * fid

@@ -8,6 +8,7 @@ from qudit_teleport.channels import (
     SHIFT,
     VARIANTS,
     WEYL,
+    Branches,
     CompletenessError,
     KrausChannel,
     apply_channel_to_branches,
@@ -131,6 +132,13 @@ class TestKrausChannelValidation:
         with pytest.raises(CompletenessError):
             KrausChannel(d=2, operators=(np.array([[np.nan, 0], [0, 1]]),))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_infinite_operator_rejected(self, value):
+        # rejected before the completeness product, which would warn on inf * 0
+        ops = (np.array([[value, 0], [0, 1]]), np.eye(2))
+        with pytest.raises(CompletenessError, match="non-finite Kraus operator entry"):
+            KrausChannel(d=2, operators=ops, label="bad")
+
     def test_nested_list_operators_accepted(self):
         ch = KrausChannel(d=2, operators=([[0, 1], [1, 0]],))
         assert ch.operators[0].dtype == complex
@@ -251,7 +259,24 @@ class TestApplyChannelToBranches:
             apply_channel_to_branches(identity(2), [(1.0, uniform_state(3))], (2, 2), 0)
 
     def test_empty_branch_list(self):
-        assert apply_channel_to_branches(crosstalk_channel(2, 0.5), [], (2, 2), 1) == []
+        assert len(apply_channel_to_branches(crosstalk_channel(2, 0.5), [], (2, 2), 1)) == 0
+
+    def test_branches_and_pairs_give_the_same_fanout(self, rng):
+        d = 2
+        ch = crosstalk_channel(d, 0.5, WEYL)
+        v = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
+        first = apply_channel_to_branches(ch, [(1.0, v / np.linalg.norm(v))], (d, d, d), 0)
+        got = apply_channel_to_branches(ch, first, (d, d, d), 1)
+        want = apply_channel_to_branches(ch, list(first), (d, d, d), 1)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.kets, want.kets)
+
+    def test_branches_shapes_checked(self):
+        with pytest.raises(ValueError, match="weights for kets"):
+            Branches(np.ones(2), np.zeros((3, 4)))
+        wide = Branches(np.ones(1), uniform_state(4)[None])
+        with pytest.raises(ValueError, match=r"branch state has dimension \(4,\), subsystems give 8"):
+            apply_channel_to_branches(identity(2), wide, (2, 2, 2), 0)
 
     def test_bad_branch_rejected_before_any_product(self):
         class Unread:

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,13 @@ from qudit_teleport.protocol import (
 )
 from qudit_teleport.states import basis_state, bell_state, random_pure_state, uniform_state
 
-from conftest import assert_same_floats, isometry_channel, random_unitary, strip_global_phase
+from conftest import (
+    assert_same_floats,
+    isometry_channel,
+    random_density,
+    random_unitary,
+    strip_global_phase,
+)
 from dm_reference import run_protocol_dm
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,6 +119,12 @@ class TestComposeInitial:
         phi = random_pure_state(d, 3)
         joint = compose_initial(phi, bell_state(d, (1 % d, 2 % d)))
         assert abs(np.linalg.norm(joint) - 1) < 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_kron_bit_for_bit(self, d):
+        # the branch engine's pinned arithmetic starts from these bits
+        phi, bell = random_pure_state(d, d), bell_state(d, (1, d - 1))
+        assert_same_floats(compose_initial(phi, bell), np.kron(phi, bell))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="bell state"):
@@ -353,6 +366,14 @@ class TestRunProtocol:
         entries = {(i, m): weyl(2, i, m) for i in range(2) for m in range(2)}
         entries[(1, 1)] = np.array([[np.nan, 0], [0, 1]])
         with pytest.raises(ValueError, match=r"correction for \(1, 1\) is not unitary"):
+            CorrectionTable(d=2, entries=entries)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["inf", "-inf"])
+    def test_correction_table_infinite_entry_rejected(self, value):
+        # rejected before the unitarity product, which would warn on inf * 0
+        entries = {(i, m): weyl(2, i, m) for i in range(2) for m in range(2)}
+        entries[(0, 1)] = np.array([[value, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"correction for \(0, 1\) is not unitary: non-finite"):
             CorrectionTable(d=2, entries=entries)
 
     def test_correction_table_nested_list_entries_accepted(self):
@@ -728,12 +749,12 @@ class TestMonomialLayer:
             DERIVED_EXACT: lambda i, m: derived_exact_correction(d, i, m, convention),
         }
         for scheme, correction in dense.items():
-            config = ProtocolConfig(
-                d=d, input_state=uniform_state(d), convention=convention, correction=scheme
-            )
+            columns, phases = protocol._scheme_table(d, scheme, convention)
             for i in range(d):
                 for m in range(d):
-                    assert_same_floats(protocol._correction_matrix(config, i, m), correction(i, m))
+                    u = np.zeros((d, d), dtype=complex)
+                    u[np.arange(d), columns[i * d + m]] = phases[i * d + m]
+                    assert_same_floats(u, correction(i, m))
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_branch_engine_reproduces_dense_contraction(self, d):
@@ -770,6 +791,63 @@ class TestMonomialLayer:
         assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
         if noise is None:
             assert abs(res.min_outcome_fidelity - 1.0) < 1e-12
+
+
+class TestMonomialCorrection:
+    """Named schemes are applied as gathers; the dense unitaries are the reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        scheme=st.sampled_from([PAPER_WEYL, DERIVED_EXACT]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        noisy=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gathers_match_dense_products(self, d, scheme, convention, noisy, seed):
+        if convention == QUTRIT_ALT:
+            d = 3
+        rng = np.random.default_rng(seed)
+        phi = random_pure_state(d, seed)
+        ket, rho = random_pure_state(d, seed + 1), random_density(rng, d)
+        if scheme == PAPER_WEYL:
+            dense = {(i, m): weyl(d, i, m) for i in range(d) for m in range(d)}
+        else:
+            dense = {
+                (i, m): derived_exact_correction(d, i, m, convention)
+                for i in range(d)
+                for m in range(d)
+            }
+        columns, phases = protocol._scheme_table(d, scheme, convention)
+        for (i, m), u in dense.items():
+            o = i * d + m
+            for state, want in ((ket, u @ ket), (rho, u @ rho @ u.conj().T)):
+                got = protocol._apply_monomial(columns[o], phases[o], state)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14
+                assert abs(pure_fidelity(phi, got) - pure_fidelity(phi, want)) <= 1e-14
+
+        # Weyl noise on a1 leaves every record mixed; without it every record is a ket
+        noise = crosstalk_channel(d, 0.37, WEYL) if noisy else None
+        config = ProtocolConfig(
+            d=d, input_state=phi, convention=convention, noise_a1=noise, correction=scheme
+        )
+        records = run_protocol(config).records
+        assert {r.receiver_state.ndim for r in records} == ({2} if noisy else {1})
+        assert_records_match(records, branch_form_run(config), tol=1e-14)
+
+        # a table is applied as dense products, exactly as the reference scores
+        table_config = replace(config, correction=CorrectionTable(d=d, entries=dense))
+        table_records = run_protocol(table_config).records
+        for got, want in zip(table_records, branch_form_run(table_config), strict=True):
+            assert (got.i, got.m, got.probability, got.fidelity) == (
+                want.i,
+                want.m,
+                want.probability,
+                want.fidelity,
+            )
+            assert_same_floats(got.receiver_state, want.receiver_state)
+        assert_records_match(table_records, records, tol=1e-14)
 
 
 class TestBranchEngineMemory:
@@ -809,5 +887,6 @@ class TestBranchEngineMemory:
         finally:
             tracemalloc.stop()
         assert len(records) == d * d
-        # the stacked branches (32 MiB) and one crystal group's receivers
-        assert peak < 48 * 2**20
+        # the kets are read in place, not restacked (32 MiB): the peak is one
+        # crystal group's gather, receivers and their conjugate, 4 MiB each
+        assert peak < 16 * 2**20
