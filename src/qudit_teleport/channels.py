@@ -11,11 +11,12 @@ generalized-Pauli (Weyl) operators; three variants are provided:
 * ``weyl``  - weight p spread evenly over all d^2 - 1 non-identity Weyl
   operators U_(i,m). Default for experiments.
 
-Noise acts on a pure joint state in weighted-branch form: ``Branches``
-holds the branch weights as one (n,) array and the kets as one (n, dim)
-array. ``apply_channel_to_branches`` fans every branch out over every Kraus
-operator in one stacked product and returns that product array as the new
-kets, so the next fan-out and the outcome enumeration read it in place.
+``protocol.run_protocol`` reads a channel as its (K, d, d)
+``operator_stack``. The weighted-branch form is the reference the tests
+compare against: ``Branches`` holds the branch weights as one (n,) array and
+the kets as one (n, dim) array, and ``apply_channel_to_branches`` fans every
+branch out over every Kraus operator in one stacked product, which
+``protocol.enumerate_outcomes`` reads in place. No run path calls it.
 """
 
 from __future__ import annotations
@@ -123,22 +124,6 @@ class KrausChannel:
         stack = np.stack(self.operators)
         stack.setflags(write=False)
         return stack
-
-    @cached_property
-    def is_weyl(self) -> bool:
-        """True when every operator is a scaled Weyl operator c U_(i,m)."""
-        return all(_is_scaled_weyl(op) for op in self.operators)
-
-
-def _is_scaled_weyl(op: np.ndarray) -> bool:
-    # c U_(i,m) has c at row 0, column m and c w^i at row 1, column 1 + m
-    d = op.shape[0]
-    m = int(np.argmax(np.abs(op[0])))
-    c = op[0, m]
-    if abs(c) <= EXACT_TOL:
-        return bool(np.all(np.abs(op) <= EXACT_TOL))
-    i = round(float(np.angle(op[1 % d, (1 + m) % d] / c)) * d / (2 * np.pi)) % d
-    return bool(np.max(np.abs(op - c * weyl(d, i, m))) <= EXACT_TOL)
 
 
 def _crosstalk_labels(d: int, p: float, variant: str) -> tuple[list[tuple[int, int]], int, float]:

@@ -403,22 +403,22 @@ def _format_bytes(n: int) -> str:
 
 
 def _large_dim_warning(config: SweepConfig) -> str | None:
-    """The stderr warning for dims above RUNTIME_WARN_DIM, with the largest branch array.
+    """The stderr warning for dims above RUNTIME_WARN_DIM, with one outcome's receiver kets.
 
-    The branch engine's fan-out holds K_a1 * K_a2 kets of d^3 amplitudes, K
-    the Kraus count of each targeted channel, largest at the largest d and p.
+    Those are the outcome map's largest noise-dependent array: K_a1 * K_a2
+    kets of d amplitudes, K the Kraus count of each targeted channel, largest
+    at the largest d and p.
     """
     big = [d for d in config.dims if d > RUNTIME_WARN_DIM]
     if not big:
         return None
     d, p = max(big), max(config.p_grid)
-    count = crosstalk_kraus_count(d, p, config.noise)
-    branches = count ** len(config.noise_targets)
-    size = branches * d**3 * np.dtype(complex).itemsize
+    kets = crosstalk_kraus_count(d, p, config.noise) ** len(config.noise_targets)
+    size = kets * d * np.dtype(complex).itemsize
     return (
         f"warning: exact enumeration scales steeply; dims {big} may take a long time; "
-        f"at d = {d}, p = {p:g} the branch array holds {branches} "
-        f"branch{'es' if branches > 1 else ''} of {d**3} amplitudes, {_format_bytes(size)}"
+        f"at d = {d}, p = {p:g} one outcome holds {kets} receiver "
+        f"ket{'s' if kets > 1 else ''} of {d} amplitudes, {_format_bytes(size)}"
     )
 
 

@@ -1,10 +1,10 @@
 """End-to-end qudit teleportation: composition, measurement, correction.
 
 The pipeline composes the input ket with a maximally entangled pair, applies
-optional noise channels to the sender's two qudits in weighted-branch form,
-enumerates all d^2 detection outcomes exactly (no sampling), applies an
-outcome-conditioned correction unitary to the receiver state and scores each
-outcome by fidelity against the input.
+optional Kraus channels to the sender's two qudits, enumerates all d^2
+detection outcomes exactly (no sampling), applies an outcome-conditioned
+correction unitary to the receiver state and scores each outcome by
+fidelity against the input.
 
 Correction schemes
 ------------------
@@ -26,9 +26,9 @@ it exactly.
 Monomial form
 -------------
 Every measurement row and every correction is a monomial matrix: d nonzero
-entries, one per row and column. The engines read the rows as
-``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
-and the named schemes are tabled the same way in closed form, as
+entries, one per row and column. The outcome map and the reference read the
+rows as ``measurement.monomial_rows`` (column positions and phases, shape
+(d^2, d)), and the named schemes are tabled the same way in closed form, as
 (column, phase) per row of each outcome's unitary u. Scoring applies u as
 gathers, u psi = phases * psi[columns] and u rho u^dag =
 (phases phases^dag) * rho[columns][:, columns], with no d x d unitary and no
@@ -36,35 +36,25 @@ matrix product; only a ``CorrectionTable``, whose entries may be any
 unitaries, is applied as dense products. No run path builds a d^4 array:
 the dense rows are 268 MB at d = 64 and 4.3 GB at d = 128.
 
-Engines
--------
-Both engines produce the same uncorrected outcome records; ``run_protocol``
-then corrects and scores them in one place. The probabilities must sum to
-the weight the run carries (||phi||^2 for the input phi) within 1e-10.
+Engine
+------
+``run_protocol`` computes the uncorrected outcome records with the outcome
+map, ``_outcome_map``, and then corrects and scores them in one place; an
+absent channel is the identity. With Phi the Bell pair reshaped to d x d
+(A2, B) and R_o outcome o's row reshaped to d x d (A1, A2), Kraus pair
+(A_k, B_l) leaves the receiver the unnormalized ket
+V_(o,k,l) = Phi^T B_l^T x_(o,k), x_(o,k) = R_o^T A_k phi, a gather and a
+scale since R_o is monomial. The weights |V|^2 give p_o and the surviving
+pairs; no d^3-amplitude branch ket is built. Outcomes are processed in
+chunks, and OUTCOME_CHUNK_BYTES bounds every array a chunk allocates; only a
+single outcome whose kets or d x d density matrix exceed it on their own
+goes over. The probabilities must sum to the weight the run carries
+(||phi||^2 for the input phi) within 1e-10.
 
-branch        ``apply_channel_to_branches`` fans the joint ket out into one
-              weighted (A1, A2, B) ket per Kraus pair, one stacked product
-              per fan-out, and hands on the weights and that product array
-              as a ``channels.Branches``. ``enumerate_outcomes`` reads the
-              kets in place and contracts every branch with every
-              measurement row, streamed one crystal group at a time: a
-              gather of the d (A1, A2) slabs the group accepts, a product
-              with the QFT phases, then the group's norms, probabilities and
-              records. The largest array is the branch kets, K_a1 K_a2 d^3
-              amplitudes, held once; one group's receivers are 1/d of that.
-              Used when the run is noiseless or every configured
-              channel holds only scaled Weyl operators c U_(i,m)
-              (``KrausChannel.is_weyl``).
-outcome map   any other channel. With Phi the Bell pair reshaped to d x d
-              (A2, B) and R_o outcome o's row reshaped to d x d (A1, A2),
-              Kraus pair (A_k, B_l) leaves the receiver the unnormalized
-              ket V_(o,k,l) = Phi^T B_l^T x_(o,k), x_(o,k) = R_o^T A_k phi,
-              a gather and a scale since R_o is monomial. The weights
-              |V|^2 give p_o and the surviving pairs; no d^3-amplitude
-              branch ket is built. Outcomes are processed in chunks, and
-              OUTCOME_CHUNK_BYTES bounds every array a chunk allocates;
-              only a single outcome whose kets or d x d density matrix
-              exceed it on their own goes over.
+``enumerate_outcomes`` is the reference: it takes weighted (A1, A2, B)
+branch kets, such as ``channels.apply_channel_to_branches`` fans out, and
+contracts every branch with every measurement row, one crystal group at a
+time. No run path calls it; the tests compare the outcome map against it.
 """
 
 from __future__ import annotations
@@ -79,7 +69,7 @@ from .channels import (
     INDEPENDENT,
     Branches,
     KrausChannel,
-    apply_channel_to_branches,
+    apply_channel_to_branches,  # not called here; perfbench's tracer wraps it under this name
     weyl,
     weyl_phases,
 )
@@ -385,7 +375,7 @@ def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run one exact teleportation experiment.
 
-    Deterministic: all noise branches and all d^2 outcomes are enumerated,
+    Deterministic: all Kraus pairs and all d^2 outcomes are enumerated,
     each receiver state is corrected per the configured scheme and scored by
     fidelity against the input, and the average is probability-weighted.
     """
@@ -410,17 +400,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
                 f"{target} channel has dimension {channel.d}, the run has dimension {d}"
             )
 
-    bell = bell_state(d, config.bell_label)
-    if all(channel is None or channel.is_weyl for channel in noise):
-        branches = Branches(np.ones(1), compose_initial(phi, bell)[None])
-        # An independent product acts as a1 then a2 on disjoint targets.
-        for target, channel in enumerate(noise):
-            if channel is not None:
-                branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
-        records = enumerate_outcomes(d, branches, config.convention)
-    else:
-        ops = [np.eye(d, dtype=complex)[None] if ch is None else ch.operator_stack for ch in noise]
-        records = _outcome_map(d, phi, bell, *ops, config.convention)
+    ops = [np.eye(d, dtype=complex)[None] if ch is None else ch.operator_stack for ch in noise]
+    records = _outcome_map(d, phi, bell_state(d, config.bell_label), *ops, config.convention)
 
     table = config.correction if isinstance(config.correction, CorrectionTable) else None
     if table is None:

@@ -142,44 +142,8 @@ class TestKrausChannelValidation:
     def test_nested_list_operators_accepted(self):
         ch = KrausChannel(d=2, operators=([[0, 1], [1, 0]],))
         assert ch.operators[0].dtype == complex
-        assert ch.is_weyl
         out = run_protocol(ProtocolConfig(d=2, input_state=uniform_state(2), noise_a1=ch))
         assert abs(out.average_fidelity - 1) < 1e-12
-
-
-class TestIsWeyl:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("d", [2, 3, 5, 8])
-    def test_crosstalk_channels_are_weyl(self, variant, d):
-        for p in (0.0, 0.3, 1.0):
-            assert crosstalk_channel(d, p, variant).is_weyl
-
-    def test_scaled_weyl_operators_with_phases(self):
-        # any c U_(i,m) qualifies, including a complex c and a zero operator
-        d = 4
-        ops = (
-            0.6 * np.exp(0.3j) * weyl(d, 1, 2),
-            0.8j * weyl(d, 3, 1),
-            np.zeros((d, d), dtype=complex),
-        )
-        assert KrausChannel(d=d, operators=ops).is_weyl
-
-    def test_non_weyl_operators(self, rng):
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        assert not KrausChannel(d=3, operators=(q,)).is_weyl
-        # a unitary mixture of Weyl operators is the same channel but not Weyl in form
-        ops = crosstalk_channel(2, 0.5, WEYL).operators
-        mixed = tuple((ops[0] + s * ops[1]) / np.sqrt(2) for s in (1, -1)) + ops[2:]
-        assert not KrausChannel(d=2, operators=mixed).is_weyl
-        # a permutation that is not a cyclic shift
-        swap = np.eye(3, dtype=complex)[[0, 2, 1]]
-        assert not KrausChannel(d=3, operators=(swap,)).is_weyl
-
-    def test_computed_once_per_channel(self):
-        ch = crosstalk_channel(3, 0.2, WEYL)
-        assert "is_weyl" not in ch.__dict__
-        assert ch.is_weyl
-        assert ch.__dict__["is_weyl"] is True
 
 
 def per_operator_fanout(channel, branches, dims, target):

@@ -19,6 +19,8 @@ from qudit_teleport.cli import (
     run_sweep,
 )
 
+from sweep_oracle import render as oracle_csv
+
 
 class TestParsePGrid:
     def test_eleven_point_unit_grid(self):
@@ -230,7 +232,10 @@ class TestSettingDeclarations:
 
     def test_large_dim_warning_on_default_config(self):
         assert cli._large_dim_warning(SweepConfig(dims=(16,))).endswith(
-            "at d = 16, p = 1 the branch array holds 65536 branches of 4096 amplitudes, 4.3 GB"
+            "at d = 16, p = 1 one outcome holds 65536 receiver kets of 16 amplitudes, 16.8 MB"
+        )
+        assert cli._large_dim_warning(SweepConfig(dims=(64,))).endswith(
+            "at d = 64, p = 1 one outcome holds 16777216 receiver kets of 64 amplitudes, 17.2 GB"
         )
 
     def test_help_snapshot(self, monkeypatch, capsys):
@@ -284,6 +289,10 @@ class TestRunSweep:
         run_sweep(parse_cli(["--dims", "2,3", "--p-grid", "0:1:0.5", "--input", "random:2:0"]))
         assert len(built) == 6 and len(configs) == 12
         assert all(c.noise_a1 is c.noise_a2 for c in configs)
+
+    def test_default_sweep_equals_closed_form_oracle(self):
+        # the CSV the CI compares with cmp: every printed digit from the formula
+        assert emit(run_sweep(parse_cli([])), "csv") == oracle_csv()
 
     def test_noiseless_point_reaches_unit_fidelity(self):
         cfg = parse_cli(["--dims", "2", "--p-grid", "0:0:1"])
@@ -415,12 +424,12 @@ class TestMain:
         assert "warning" in err and "16" in err
 
     def test_large_dim_warning_gives_branch_array_size(self, monkeypatch, capsys):
-        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 * 256 kets of 16^3 amplitudes
+        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 * 256 kets of 16 amplitudes
         monkeypatch.setattr(cli, "run_sweep", lambda config: SweepResult())
         assert main(["--dims", "2,16"]) == 0
         assert capsys.readouterr().err == (
             "warning: exact enumeration scales steeply; dims [16] may take a long time; "
-            "at d = 16, p = 1 the branch array holds 65536 branches of 4096 amplitudes, 4.3 GB\n"
+            "at d = 16, p = 1 one outcome holds 65536 receiver kets of 16 amplitudes, 16.8 MB\n"
         )
 
     def test_large_dim_warning_counts_targeted_channels(self, monkeypatch, capsys):
@@ -428,7 +437,7 @@ class TestMain:
         argv = ["--dims", "9", "--p-grid", "0:0.5:0.5", "--noise", "shift", "--noise-targets", "a2"]
         assert main(argv) == 0
         err = capsys.readouterr().err
-        assert err.endswith("at d = 9, p = 0.5 the branch array holds 9 branches of 729 amplitudes, 105.0 kB\n")
+        assert err.endswith("at d = 9, p = 0.5 one outcome holds 9 receiver kets of 9 amplitudes, 1.3 kB\n")
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         rc = main(["--dims", "2", "--p-grid", "0:0:1", "--out", str(tmp_path / "nope" / "x.csv")])

@@ -10,6 +10,7 @@ from qudit_teleport import protocol
 from qudit_teleport.channels import (
     PHASE,
     SHIFT,
+    VARIANTS,
     WEYL,
     KrausChannel,
     apply_channel_to_branches,
@@ -122,7 +123,7 @@ class TestComposeInitial:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_equals_kron_bit_for_bit(self, d):
-        # the branch engine's pinned arithmetic starts from these bits
+        # the branch reference's pinned arithmetic starts from these bits
         phi, bell = random_pure_state(d, d), bell_state(d, (1, d - 1))
         assert_same_floats(compose_initial(phi, bell), np.kron(phi, bell))
 
@@ -517,20 +518,25 @@ class TestAgainstDensityMatrixReference:
 
 
 def branch_form_run(config):
-    """Corrected records through the branch engine, whatever run_protocol routes to.
+    """Corrected records through the branch engine, the reference for ``run_protocol``.
 
     Fans the joint ket out with ``apply_channel_to_branches``, enumerates
-    with ``enumerate_outcomes`` and corrects and scores each record as
-    ``run_protocol`` does.
+    with ``enumerate_outcomes`` and scores the records with ``dense_scoring``.
     """
     d = config.d
-    phi = config.input_state
-    branches = [(1.0, compose_initial(phi, bell_state(d, config.bell_label)))]
+    branches = [(1.0, compose_initial(config.input_state, bell_state(d, config.bell_label)))]
     for target, channel in enumerate((config.noise_a1, config.noise_a2)):
         if channel is not None:
             branches = apply_channel_to_branches(channel, branches, (d, d, d), target)
+    return dense_scoring(config, enumerate_outcomes(d, branches, config.convention))
+
+
+def dense_scoring(config, uncorrected):
+    """Records corrected with dense unitaries and scored as ``run_protocol`` does."""
+    d = config.d
+    phi = config.input_state
     records = []
-    for rec in enumerate_outcomes(d, branches, config.convention):
+    for rec in uncorrected:
         if rec.probability <= WEIGHT_FLOOR:
             records.append(rec)
             continue
@@ -564,49 +570,50 @@ def assert_records_match(got, want, tol=1e-12):
         )
 
 
-def count_branch_engine_calls(monkeypatch):
+def count_reference_calls(monkeypatch):
     calls = []
-    original = protocol.enumerate_outcomes
+    for name in ("enumerate_outcomes", "apply_channel_to_branches"):
+        original = getattr(protocol, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(protocol, "enumerate_outcomes", counted)
+        monkeypatch.setattr(protocol, name, counted)
     return calls
 
 
 class TestOutcomeMapEngine:
     @pytest.mark.parametrize(
         "noise",
-        [None, (SHIFT, "a1a2"), (PHASE, "a2"), (WEYL, "a1"), (WEYL, "a1a2"), "scaled-weyl"],
-        ids=["noiseless", "shift", "phase-a2", "weyl-a1", "weyl", "scaled-weyl"],
+        [
+            None, (SHIFT, "a1a2"), (PHASE, "a2"), (WEYL, "a1"), (WEYL, "a1a2"), "scaled-weyl",
+            ("isometry", "a1"), ("isometry", "a2"), ("isometry", "a1a2"),
+        ],
+        ids=[
+            "noiseless", "shift", "phase-a2", "weyl-a1", "weyl", "scaled-weyl",
+            "isometry-a1", "isometry-a2", "isometry-a1a2",
+        ],
     )
-    def test_weyl_and_noiseless_runs_use_branch_engine(self, monkeypatch, noise):
+    def test_no_run_reaches_the_reference(self, monkeypatch, noise):
         d = 3
-        if noise == "scaled-weyl":
+        if noise is None:
+            a1 = a2 = None
+        elif noise == "scaled-weyl":
             ops = (0.6j * weyl(d, 1, 2), 0.8 * np.exp(1j) * weyl(d, 2, 0))
             a1 = a2 = KrausChannel(d=d, operators=ops)
-        elif noise is None:
-            a1 = a2 = None
+        elif noise[0] == "isometry":
+            # beside a Weyl channel on the other sender qudit
+            iso = isometry_channel(d, 2, np.random.default_rng(5))
+            weyl_ch = crosstalk_channel(d, 0.3, WEYL)
+            a1, a2 = (iso if t in noise[1] else weyl_ch for t in ("a1", "a2"))
         else:
             ch = crosstalk_channel(d, 0.3, noise[0])
             a1, a2 = (ch if t in noise[1] else None for t in ("a1", "a2"))
-        calls = count_branch_engine_calls(monkeypatch)
-        run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=a1, noise_a2=a2))
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("targets", ["a1", "a2", "a1a2"])
-    def test_any_non_weyl_channel_uses_outcome_map(self, monkeypatch, targets):
-        d = 3
-        iso = isometry_channel(d, 2, np.random.default_rng(5))
-        weyl_ch = crosstalk_channel(d, 0.3, WEYL)
-        # one non-Weyl channel routes the run, even beside a Weyl one
-        a1 = iso if "a1" in targets else weyl_ch
-        a2 = iso if "a2" in targets else weyl_ch
-        calls = count_branch_engine_calls(monkeypatch)
-        run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=a1, noise_a2=a2))
+        calls = count_reference_calls(monkeypatch)
+        res = run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=a1, noise_a2=a2))
         assert calls == []
+        assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -652,6 +659,59 @@ class TestOutcomeMapEngine:
                 assert abs(rec.fidelity - fid) < 1e-9
             assert abs(res.average_fidelity - avg_dm) < 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        variant=st.sampled_from(VARIANTS),
+        targets=st.sampled_from(["a1", "a2", "a1a2"]),
+        p=st.floats(0.0, 1.0),
+        scheme=st.sampled_from([DERIVED_EXACT, PAPER_WEYL]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_crosstalk_matches_branch_form(
+        self, d, variant, targets, p, scheme, convention, data, seed
+    ):
+        if convention == QUTRIT_ALT:
+            d = 3
+        ch = crosstalk_channel(d, p, variant)
+        a1, a2 = (ch if t in targets else None for t in ("a1", "a2"))
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        phi = random_pure_state(d, seed)
+        config = ProtocolConfig(
+            d=d, input_state=phi, bell_label=label, convention=convention,
+            noise_a1=a1, noise_a2=a2, correction=scheme,
+        )
+        res = run_protocol(config)
+        assert_records_match(res.records, branch_form_run(config))
+
+        # the density-matrix reference evolves d^3 x d^3 matrices once per Kraus
+        # pair; it runs up to the cost of Weyl noise on both qudits at d = 4
+        pairs = len(ch.operators) ** ((a1 is not None) + (a2 is not None))
+        if label == (0, 0) and pairs * d**9 <= 16**2 * 4**9:
+            outcomes, avg_dm = run_protocol_dm(
+                d, phi,
+                ops_a1=None if a1 is None else list(a1.operators),
+                ops_a2=None if a2 is None else list(a2.operators),
+                correction=scheme, convention=convention,
+            )
+            for rec, (i, m, prob, fid) in zip(res.records, outcomes, strict=True):
+                assert (rec.i, rec.m) == (i, m)
+                assert abs(rec.probability - prob) < 1e-9
+                assert abs(rec.fidelity - fid) < 1e-9
+            assert abs(res.average_fidelity - avg_dm) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 8), p=st.floats(0.0, 1.0))
+    def test_weyl_noise_on_both_qudits_closed_form(self, d, p):
+        # every outcome of the uniform input is equally faithful
+        ch = crosstalk_channel(d, p, WEYL)
+        res = run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=ch, noise_a2=ch))
+        want = np.sqrt((1 - (d - 1) * p / d) ** 2 + (d - 1) * (p / d) ** 2)
+        assert abs(res.average_fidelity - want) < 1e-12
+        assert abs(res.min_outcome_fidelity - want) < 1e-12
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_kets_and_unscored_outcomes_match_branch_form(self, d):
         # a1 measured in the basis: only one Kraus pair survives, records stay kets
@@ -684,12 +744,11 @@ class TestOutcomeMapEngine:
     @pytest.mark.parametrize("p", [0.1, 0.37, 1.0])
     def test_unitary_mixture_of_weyl_operators(self, d, p):
         # A Kraus set mixed by a unitary is the same channel (Kraus unitary
-        # freedom) but holds no Weyl operator, so it runs on the outcome map.
+        # freedom), though none of its operators is a Weyl operator.
         weyl_ch = crosstalk_channel(d, p, WEYL)
         ops = np.stack(weyl_ch.operators)
         u = random_unitary(np.random.default_rng(d * 100 + round(p * 100)), len(ops))
         mixed = KrausChannel(d=d, operators=tuple(np.tensordot(u, ops, axes=1)))
-        assert weyl_ch.is_weyl and not mixed.is_weyl
         phi = uniform_state(d)
         res_weyl = run_protocol(
             ProtocolConfig(d=d, input_state=phi, noise_a1=weyl_ch, noise_a2=weyl_ch)
@@ -701,18 +760,28 @@ class TestOutcomeMapEngine:
             assert abs(res.average_fidelity - want) < 1e-12
             assert abs(res.min_outcome_fidelity - want) < 1e-12
 
-    @pytest.mark.parametrize("noise", ["weyl", "isometry"])
+    @pytest.mark.parametrize("noise", ["weyl", "isometry", "reference"])
     def test_probability_sum_checked_in_both_engines(self, monkeypatch, noise):
+        # the outcome map under either channel, and the branch reference on
+        # hand-built branches
         d = 3
-        if noise == "weyl":
-            ch = crosstalk_channel(d, 0.3, WEYL)
-        else:
+        if noise == "isometry":
             ch = isometry_channel(d, 2, np.random.default_rng(7))
+        else:
+            ch = crosstalk_channel(d, 0.3, WEYL)
         positions, phases = monomial_rows(d, GENERAL)
         corrupted = (positions, 1.01 * phases)
         monkeypatch.setattr(protocol, "monomial_rows", lambda d, convention: corrupted)
         with pytest.raises(RuntimeError, match="probabilities do not sum"):
-            run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
+            if noise == "reference":
+                bell = bell_state(d, (0, 0))
+                branches = [
+                    (0.25, compose_initial(basis_state(d, 1), bell)),
+                    (0.75, compose_initial(uniform_state(d), bell)),
+                ]
+                enumerate_outcomes(d, branches)
+            else:
+                run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
 
 
 def dense_contraction(d, branches):
@@ -837,9 +906,14 @@ class TestMonomialCorrection:
         assert_records_match(records, branch_form_run(config), tol=1e-14)
 
         # a table is applied as dense products, exactly as the reference scores
+        # the outcome map's own uncorrected records
         table_config = replace(config, correction=CorrectionTable(d=d, entries=dense))
         table_records = run_protocol(table_config).records
-        for got, want in zip(table_records, branch_form_run(table_config), strict=True):
+        eye = np.eye(d, dtype=complex)[None]
+        uncorrected = protocol._outcome_map(
+            d, phi, bell_state(d, (0, 0)), eye if noise is None else noise.operator_stack, eye, convention
+        )
+        for got, want in zip(table_records, dense_scoring(table_config, uncorrected), strict=True):
             assert (got.i, got.m, got.probability, got.fidelity) == (
                 want.i,
                 want.m,
