@@ -11,11 +11,17 @@ generalized-Pauli (Weyl) operators; three variants are provided:
 * ``weyl``  - weight p spread evenly over all d^2 - 1 non-identity Weyl
   operators U_(i,m). Default for experiments.
 
-``protocol.run_protocol`` reads a channel as its (K, d, d)
-``operator_stack``. The weighted-branch form is the reference the tests
-compare against: ``Branches`` holds the branch weights as one (n,) array and
-the kets as one (n, dim) array, and ``apply_channel_to_branches`` fans every
-branch out over every Kraus operator in one stacked product, which
+Every crosstalk channel is a Weyl channel, and ``crosstalk_channel`` builds
+it in label form: a (d, d) table of the probabilities w(i, m) of U_(i,m),
+d^2 floats where the dense operators are d^4 amplitudes (268 MB at d = 64).
+``protocol.run_protocol`` folds label-form channels by their tables and
+reads any other channel as its (K, d, d) ``operator_stack``; a label-form
+channel builds its operators only when something asks for them.
+
+The weighted-branch form is the reference the tests compare against:
+``Branches`` holds the branch weights as one (n,) array and the kets as one
+(n, dim) array, and ``apply_channel_to_branches`` fans every branch out over
+every Kraus operator in one stacked product, which
 ``protocol.enumerate_outcomes`` reads in place. No run path calls it.
 """
 
@@ -89,34 +95,69 @@ def weyl(d: int, i: int, m: int) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True)
 class KrausChannel:
-    """A completeness-checked list of d x d Kraus operators."""
+    """A completeness-checked channel on a d-level system, in one of two forms.
 
-    d: int
-    operators: tuple[np.ndarray, ...]
-    label: str = ""
+    Dense: ``operators``, d x d Kraus operators C_i with
+    sum_i C_i^dag C_i = I, checked numerically. Label form:
+    ``weyl_weights``, a (d, d) table of probabilities w(i, m), the channel
+    rho -> sum w(i, m) U_(i,m) rho U_(i,m)^dag. Its completeness is checked
+    analytically (finite weights, all >= 0, summing to 1 within EXACT_TOL),
+    and ``protocol.run_protocol`` reads the table, not operators. A
+    label-form channel builds ``operators`` on first access, sqrt(w(i, m))
+    U_(i,m) for each label of nonzero weight in row-major order; a dense
+    channel has ``weyl_weights`` None. The channel is not modified after
+    construction.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(np.asarray(op, dtype=complex) for op in self.operators))
+    def __init__(
+        self,
+        d: int,
+        operators: Sequence[np.ndarray] | None = None,
+        label: str = "",
+        weyl_weights: np.ndarray | None = None,
+    ):
+        self.d = d
+        self.label = label
+        if (operators is None) == (weyl_weights is None):
+            raise ValueError("a channel takes either Kraus operators or Weyl label weights")
+        name = label or "<unlabeled>"
+        if weyl_weights is not None:
+            weights = np.array(weyl_weights, dtype=float)
+            if weights.shape != (d, d):
+                raise ValueError(f"Weyl label weights have shape {weights.shape}, not ({d}, {d})")
+            # written so that a NaN weight or sum fails too
+            if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+                raise CompletenessError(f"channel {name} has a negative or non-finite Weyl weight")
+            total = float(weights.sum())
+            if not abs(total - 1.0) <= EXACT_TOL:
+                raise CompletenessError(f"Weyl label weights sum to {total!r}, not 1 (channel {name})")
+            weights.setflags(write=False)
+            self.weyl_weights = weights
+            return
+        self.weyl_weights = None
+        self.operators = tuple(np.asarray(op, dtype=complex) for op in operators)
         if not self.operators:
             raise CompletenessError("channel has no Kraus operators")
         for op in self.operators:
-            if op.shape != (self.d, self.d):
-                raise ValueError(f"Kraus operator shape {op.shape} != ({self.d}, {self.d})")
+            if op.shape != (d, d):
+                raise ValueError(f"Kraus operator shape {op.shape} != ({d}, {d})")
         # checked before any product, which would warn on inf * 0
         if not np.isfinite(self.operator_stack).all():
-            raise CompletenessError(
-                f"channel {self.label or '<unlabeled>'} has a non-finite Kraus operator entry"
-            )
+            raise CompletenessError(f"channel {name} has a non-finite Kraus operator entry")
         total = sum(op.conj().T @ op for op in self.operators)
-        residual = float(np.max(np.abs(total - np.eye(self.d))))
+        residual = float(np.max(np.abs(total - np.eye(d))))
         # written so that a NaN residual fails too
         if not residual <= EXACT_TOL:
             raise CompletenessError(
-                f"sum C^dag C deviates from identity by {residual:.3e} "
-                f"(channel {self.label or '<unlabeled>'})"
+                f"sum C^dag C deviates from identity by {residual:.3e} (channel {name})"
             )
+
+    @cached_property
+    def operators(self) -> tuple[np.ndarray, ...]:
+        """The Kraus operators; a dense channel sets them at construction."""
+        w = self.weyl_weights
+        return tuple(np.sqrt(w[i, m]) * weyl(self.d, i, m) for i, m in zip(*w.nonzero()))
 
     @cached_property
     def operator_stack(self) -> np.ndarray:
@@ -126,38 +167,39 @@ class KrausChannel:
         return stack
 
 
-def _crosstalk_labels(d: int, p: float, variant: str) -> tuple[list[tuple[int, int]], int, float]:
-    """A variant's Weyl labels (i, m), the n each one's weight p / n divides by,
-    and the weight the identity keeps."""
+def _crosstalk_weights(d: int, p: float, variant: str) -> np.ndarray:
+    """A crosstalk variant's Weyl label weights as a (d, d) table, entry (i, m) for U_(i,m).
+
+    Each of the variant's n_listed labels carries p / n and the identity keeps
+    1 - n_listed p / n: the d - 1 shifts U_(0,m) or phases U_(i,0) with
+    n = d, or all d^2 - 1 non-identity labels with n = d^2.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip probability {p} outside [0, 1]")
     if variant not in VARIANTS:
         raise ValueError(f"unknown noise variant {variant!r}")
+    weights = np.zeros((d, d))
     if variant == SHIFT:
-        labels, n = [(0, k) for k in range(1, d)], d
+        listed, n = weights[0, 1:], d
     elif variant == PHASE:
-        labels, n = [(k, 0) for k in range(1, d)], d
+        listed, n = weights[1:, 0], d
     else:
-        labels, n = [(i, m) for i in range(d) for m in range(d) if (i, m) != (0, 0)], d * d
-    return labels, n, 1.0 - len(labels) * p / n
+        listed, n = weights.reshape(-1)[1:], d * d
+    listed[:] = p / n
+    weights[0, 0] = 1.0 - listed.size * p / n
+    return weights
 
 
 def crosstalk_kraus_count(d: int, p: float, variant: str = WEYL) -> int:
     """How many operators ``crosstalk_channel(d, p, variant)`` holds, without building them."""
-    labels, _, keep = _crosstalk_labels(d, p, variant)
-    return int(keep > 0.0) + (len(labels) if p > 0.0 else 0)
+    return int(np.count_nonzero(_crosstalk_weights(d, p, variant)))
 
 
 def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
-    """Crosstalk channel at flip probability p; zero-weight operators dropped."""
-    # each listed Weyl operator U_(i,m) carries weight p / n; the identity keeps the rest
-    labels, n, keep = _crosstalk_labels(d, p, variant)
-    ops: list[np.ndarray] = []
-    if keep > 0.0:
-        ops.append(np.sqrt(keep) * np.eye(d, dtype=complex))
-    if p > 0.0:
-        ops.extend(np.sqrt(p / n) * weyl(d, i, m) for i, m in labels)
-    return KrausChannel(d=d, operators=tuple(ops), label=f"{variant}(d={d},p={p:g})")
+    """Crosstalk channel at flip probability p, in label form; zero-weight labels hold no operator."""
+    return KrausChannel(
+        d=d, weyl_weights=_crosstalk_weights(d, p, variant), label=f"{variant}(d={d},p={p:g})"
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -403,22 +403,28 @@ def _format_bytes(n: int) -> str:
 
 
 def _large_dim_warning(config: SweepConfig) -> str | None:
-    """The stderr warning for dims above RUNTIME_WARN_DIM, with one outcome's receiver kets.
+    """The stderr warning for dims above RUNTIME_WARN_DIM, with the run's largest array.
 
-    Those are the outcome map's largest noise-dependent array: K_a1 * K_a2
-    kets of d amplitudes, K the Kraus count of each targeted channel, largest
-    at the largest d and p.
+    That is the d^2 outcome states the run returns, at the largest d and p:
+    density matrices when the noise has more than one Weyl label, kets
+    otherwise; counted from the label table, without building a channel.
+    One outcome's receiver kets are never larger: the sender's two tables
+    fold into at most d^2 labels, so they hold at most d^2 kets of d
+    amplitudes.
     """
     big = [d for d in config.dims if d > RUNTIME_WARN_DIM]
     if not big:
         return None
     d, p = max(big), max(config.p_grid)
-    kets = crosstalk_kraus_count(d, p, config.noise) ** len(config.noise_targets)
-    size = kets * d * np.dtype(complex).itemsize
+    if crosstalk_kraus_count(d, p, config.noise) > 1:
+        states, shape, amplitudes = "density matrices", f"{d} x {d}", d * d
+    else:
+        states, shape, amplitudes = "kets", f"{d}", d
+    size = d * d * amplitudes * np.dtype(complex).itemsize
     return (
         f"warning: exact enumeration scales steeply; dims {big} may take a long time; "
-        f"at d = {d}, p = {p:g} one outcome holds {kets} receiver "
-        f"ket{'s' if kets > 1 else ''} of {d} amplitudes, {_format_bytes(size)}"
+        f"at d = {d}, p = {p:g} the run returns {d * d} outcome {states} of {shape} "
+        f"amplitudes, {_format_bytes(size)}"
     )
 
 

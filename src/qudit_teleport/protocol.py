@@ -51,6 +51,31 @@ single outcome whose kets or d x d density matrix exceed it on their own
 goes over. The probabilities must sum to the weight the run carries
 (||phi||^2 for the input phi) within 1e-10.
 
+Weyl fold
+---------
+When every configured channel is in label form, the two sender channels
+fold into one channel on A1 before the outcome map, and A2 sees the
+identity: a Weyl error b on A2 acts as the error L2 b on A1, with
+L2 (i, m) = (-i, m) mod d, so the pair (a, b) acts as the label
+e = a + L2 b and the d^4 pairs collapse to at most d^2 labels with weights
+Q(e) (``_fold_weyl_weights``). Derivation, up to phases that depend only on
+(o, a, b) and cancel in every record:
+
+* on the Bell pair, (U_b (x) I)|Phi> = (I (x) U_b^T)|Phi>, so the A2
+  error reaches the receiver as V = Phi^T U_b^T x;
+* U_(i,m)^T = w^(-i m) U_(i,-m);
+* in both wirings R_o^T sends A1 level a to A2 level -a - c_m with the
+  phase w^(i out(a)) / sqrt(d), where the output path is out(a) = +-a + s_m:
+  up to a phase it is a shift times INV times a clock. Weyl operators
+  commute up to phases and INV U_(i,m) INV = U_(-i,-m), so R_o^T U_(i,m)
+  is proportional to U_(-i,-m) R_o^T;
+* hence U_b^T R_o^T, proportional to U_(b_i,-b_m) R_o^T, is proportional
+  to R_o^T U_(-b_i, b_m) = R_o^T U_(L2 b).
+
+A label's A1 ket sqrt(Q(e)) U_e phi is a gather from phi, so a folded run
+builds no d x d operator. Dense channels, such as random Kraus sets, take
+the pair path unchanged.
+
 ``enumerate_outcomes`` is the reference: it takes weighted (A1, A2, B)
 branch kets, such as ``channels.apply_channel_to_branches`` fans out, and
 contracts every branch with every measurement row, one crystal group at a
@@ -202,23 +227,86 @@ def enumerate_outcomes(
     return records
 
 
+def _fold_weyl_weights(d: int, w_a1: np.ndarray | None, w_a2: np.ndarray | None) -> np.ndarray:
+    """The sender's two Weyl label tables folded into one table on A1.
+
+    Q(e) = sum w_a1(a) w_a2(b) over all a + L2 b = e (mod d), with
+    L2 (i, m) = (-i, m): e = (a_i - b_i, a_m + b_m). An absent table is the
+    identity label. Q is built by index arithmetic, one product of w_a1's
+    rows shifted by b_i with a circulant of w_a2's row b_i per nonzero row,
+    so each entry is a sum of products of nonnegative weights: none is
+    negative, and an entry is nonzero only where some product is.
+    """
+    identity = np.zeros((d, d))
+    identity[0, 0] = 1.0
+    w1 = identity if w_a1 is None else w_a1
+    w2 = identity if w_a2 is None else w_a2
+    k = np.arange(d)
+    q = np.zeros((d, d))
+    for b_i in np.flatnonzero(w2.any(axis=1)):
+        # q[e_i, e_m] += sum over a_m of w1[e_i + b_i, a_m] w2[b_i, e_m - a_m]
+        q += w1[(k + b_i) % d] @ w2[b_i, (k - k[:, None]) % d]
+    return q
+
+
+@lru_cache(maxsize=32)
+def _folded_sender(d: int, w_a1: bytes | None, w_a2: bytes | None) -> tuple[np.ndarray, np.ndarray]:
+    """The folded sender channel as monomial operators sqrt(Q(e)) U_e, e in supp Q.
+
+    Keyed on the two tables' bytes (None for an absent channel). Operator j
+    holds coefficients[j, k] at row k, column columns[j, k], since
+    (U_(i,m) phi)_k = w^(k i) phi_(k+m); the labels are in row-major order.
+    Both arrays have shape (|supp Q|, d) and are returned read-only.
+    """
+    tables = (None if w is None else np.frombuffer(w).reshape(d, d) for w in (w_a1, w_a2))
+    q = _fold_weyl_weights(d, *tables)
+    i, m = q.nonzero()
+    k = np.arange(d)
+    columns = (k + m[:, None]) % d
+    coefficients = np.sqrt(q[i, m])[:, None] * weyl_phases(d)[(k * i[:, None]) % d]
+    columns.setflags(write=False)
+    coefficients.setflags(write=False)
+    return columns, coefficients
+
+
+def _sender_noise(
+    d: int, phi: np.ndarray, noise_a1: KrausChannel | None, noise_a2: KrausChannel | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome map's A1 kets and A2 operator stack for one run.
+
+    When every configured channel is in label form, the two tables fold into
+    one on A1 and A2 sees the identity: the kets are sqrt(Q(e)) U_e phi, one
+    per label, a gather from phi. Otherwise they are A_k phi beside the A2
+    stack. An absent channel is the identity.
+    """
+    eye = np.eye(d, dtype=complex)[None]
+    noise = (noise_a1, noise_a2)
+    if all(ch is None or ch.weyl_weights is not None for ch in noise):
+        keys = (None if ch is None else ch.weyl_weights.tobytes() for ch in noise)
+        columns, coefficients = _folded_sender(d, *keys)
+        return coefficients * phi[columns], eye
+    ops_a1, ops_a2 = (eye if ch is None else ch.operator_stack for ch in noise)
+    return ops_a1 @ phi, ops_a2
+
+
 def _outcome_map(
     d: int,
     phi: np.ndarray,
     bell: np.ndarray,
-    ops_a1: np.ndarray,
+    kets_a1: np.ndarray,
     ops_a2: np.ndarray,
     convention: str,
 ) -> list[OutcomeRecord]:
     """The outcome table of ``enumerate_outcomes`` without the branch kets.
 
-    ``ops_a1`` and ``ops_a2`` are (K, d, d) operator stacks. Pair (k, l) is
-    ordered k * len(ops_a2) + l, as the fan-out orders its branches.
+    ``kets_a1`` holds the A1 kets A_k phi, shape (K, d), and ``ops_a2`` is
+    the (L, d, d) A2 operator stack. Pair (k, l) is ordered k * L + l, as
+    the fan-out orders its branches. ``phi`` gives the weight the
+    probabilities must sum to.
     """
-    x_in = ops_a1 @ phi  # A_k phi, (K_a, d)
     # B_l Phi laid out (A2, (l, B)): x @ b_out is V for every l at once
     b_out = (ops_a2 @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
-    n_a1, pairs = x_in.shape[0], x_in.shape[0] * len(ops_a2)
+    n_a1, pairs = kets_a1.shape[0], kets_a1.shape[0] * len(ops_a2)
     positions, phases = monomial_rows(d, convention)
     # the receiver kets are a chunk's largest array: pairs * d amplitudes per outcome
     chunk = max(1, OUTCOME_CHUNK_BYTES // (pairs * d * np.dtype(complex).itemsize))
@@ -231,7 +319,7 @@ def _outcome_map(
         # R_o is monomial, so x_(o,k) = R_o^T A_k phi is a gather and a scale:
         # entry (a, b) of R_o sends (A_k phi)[a] times its phase to position b
         x = np.empty((n, n_a1, d), dtype=complex)
-        x[np.arange(n)[:, None], :, b] = x_in.T[a] * phases[start : start + n, :, None]
+        x[np.arange(n)[:, None], :, b] = kets_a1.T[a] * phases[start : start + n, :, None]
         kets = (x.reshape(-1, d) @ b_out).reshape(n, pairs, d)
         flat = kets.view(np.float64)
         weights = np.einsum("opj,opj->op", flat, flat)
@@ -400,8 +488,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
                 f"{target} channel has dimension {channel.d}, the run has dimension {d}"
             )
 
-    ops = [np.eye(d, dtype=complex)[None] if ch is None else ch.operator_stack for ch in noise]
-    records = _outcome_map(d, phi, bell_state(d, config.bell_label), *ops, config.convention)
+    records = _outcome_map(
+        d, phi, bell_state(d, config.bell_label), *_sender_noise(d, phi, *noise), config.convention
+    )
 
     table = config.correction if isinstance(config.correction, CorrectionTable) else None
     if table is None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,13 @@ from qudit_teleport.channels import (
     crosstalk_kraus_count,
     weyl,
 )
+from qudit_teleport import channels, cli, protocol
 from qudit_teleport.linalg import WEIGHT_FLOOR
 from qudit_teleport.protocol import ProtocolConfig, run_protocol
 from qudit_teleport.states import basis_state, uniform_state
 
 from conftest import isometry_channel
+from sweep_oracle import render as oracle_csv
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1, -1]).astype(complex)
@@ -117,6 +121,87 @@ class TestCrosstalkChannel:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             crosstalk_channel(3, 0.5, "depolarizing")
+
+
+def dense_crosstalk_operators(d, p, variant):
+    """The Kraus operators crosstalk channels held before they took label form.
+
+    The identity times sqrt(1 - n_listed p / n) first, then sqrt(p / n)
+    U_(i,m) for each listed label; kept as the reference the lazily built
+    operators must reproduce bit for bit.
+    """
+    if variant == SHIFT:
+        labels, n = [(0, k) for k in range(1, d)], d
+    elif variant == PHASE:
+        labels, n = [(k, 0) for k in range(1, d)], d
+    else:
+        labels, n = [(i, m) for i in range(d) for m in range(d) if (i, m) != (0, 0)], d * d
+    keep = 1.0 - len(labels) * p / n
+    ops = [np.sqrt(keep) * np.eye(d, dtype=complex)]
+    if p > 0.0:
+        ops.extend(np.sqrt(p / n) * weyl(d, i, m) for i, m in labels)
+    return ops
+
+
+class TestLabelForm:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_lazy_operators_equal_dense_construction(self, d, variant):
+        for p in (0.0, 0.1, 0.3, 0.7, 1.0):
+            ch = crosstalk_channel(d, p, variant)
+            assert "operators" not in vars(ch)
+            want = dense_crosstalk_operators(d, p, variant)
+            assert [op.tobytes() for op in ch.operators] == [op.tobytes() for op in want]
+            assert ch.operator_stack.tobytes() == np.stack(want).tobytes()
+
+    def test_operator_stack_and_weights_are_read_only(self):
+        ch = crosstalk_channel(3, 0.5, WEYL)
+        for array in (ch.operator_stack, identity(3).operator_stack, ch.weyl_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 2.0
+
+    def test_default_sweep_builds_no_operator(self, monkeypatch):
+        def no_operator(*args):
+            raise AssertionError("a run path built a Weyl operator")
+
+        monkeypatch.setattr(channels, "weyl", no_operator)
+        monkeypatch.setattr(protocol, "weyl", no_operator)
+        result = cli.run_sweep(cli.SweepConfig())
+        assert cli.emit(result) == oracle_csv()
+
+    def test_d64_channel_allocates_no_operator(self):
+        # its dense operators would be 4095 x 64 x 64 amplitudes, 268 MB
+        tracemalloc.start()
+        try:
+            ch = crosstalk_channel(64, 0.5, WEYL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert ch.weyl_weights.shape == (64, 64)
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ([[0.5, 0.5], [0.5, -0.5]], "negative or non-finite"),
+            ([[np.nan, 0.5], [0.5, 0.0]], "negative or non-finite"),
+            ([[np.inf, 0.0], [0.0, 0.0]], "negative or non-finite"),
+            ([[0.5, 0.5], [0.5, 0.0]], "sum to 1"),
+            ([[1.0 + 1e-11, 0.0], [0.0, 0.0]], "sum to 1"),
+        ],
+        ids=["negative", "nan", "inf", "excess", "beyond-exact-tol"],
+    )
+    def test_bad_weights_rejected(self, weights, error):
+        with pytest.raises(CompletenessError, match=error):
+            KrausChannel(d=2, weyl_weights=np.array(weights))
+
+    def test_one_form_required(self):
+        with pytest.raises(ValueError, match="shape"):
+            KrausChannel(d=3, weyl_weights=np.eye(2) / 2)
+        with pytest.raises(ValueError, match="either"):
+            KrausChannel(d=2)
+        with pytest.raises(ValueError, match="either"):
+            KrausChannel(d=2, operators=(np.eye(2),), weyl_weights=np.diag([1.0, 0.0]))
 
 
 class TestKrausChannelValidation:

@@ -232,10 +232,16 @@ class TestSettingDeclarations:
 
     def test_large_dim_warning_on_default_config(self):
         assert cli._large_dim_warning(SweepConfig(dims=(16,))).endswith(
-            "at d = 16, p = 1 one outcome holds 65536 receiver kets of 16 amplitudes, 16.8 MB"
+            "at d = 16, p = 1 the run returns 256 outcome density matrices of 16 x 16 amplitudes, 1.0 MB"
         )
         assert cli._large_dim_warning(SweepConfig(dims=(64,))).endswith(
-            "at d = 64, p = 1 one outcome holds 16777216 receiver kets of 64 amplitudes, 17.2 GB"
+            "at d = 64, p = 1 the run returns 4096 outcome density matrices of 64 x 64 amplitudes, 268.4 MB"
+        )
+
+    def test_large_dim_warning_names_kets_when_noiseless(self):
+        # one Weyl label survives at p = 0, so every record is a ket
+        assert cli._large_dim_warning(SweepConfig(dims=(128,), p_grid=(0.0,))).endswith(
+            "at d = 128, p = 0 the run returns 16384 outcome kets of 128 amplitudes, 33.6 MB"
         )
 
     def test_help_snapshot(self, monkeypatch, capsys):
@@ -424,12 +430,12 @@ class TestMain:
         assert "warning" in err and "16" in err
 
     def test_large_dim_warning_gives_branch_array_size(self, monkeypatch, capsys):
-        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 * 256 kets of 16 amplitudes
+        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 density matrices of 16 x 16
         monkeypatch.setattr(cli, "run_sweep", lambda config: SweepResult())
         assert main(["--dims", "2,16"]) == 0
         assert capsys.readouterr().err == (
             "warning: exact enumeration scales steeply; dims [16] may take a long time; "
-            "at d = 16, p = 1 one outcome holds 65536 receiver kets of 16 amplitudes, 16.8 MB\n"
+            "at d = 16, p = 1 the run returns 256 outcome density matrices of 16 x 16 amplitudes, 1.0 MB\n"
         )
 
     def test_large_dim_warning_counts_targeted_channels(self, monkeypatch, capsys):
@@ -437,7 +443,9 @@ class TestMain:
         argv = ["--dims", "9", "--p-grid", "0:0.5:0.5", "--noise", "shift", "--noise-targets", "a2"]
         assert main(argv) == 0
         err = capsys.readouterr().err
-        assert err.endswith("at d = 9, p = 0.5 one outcome holds 9 receiver kets of 9 amplitudes, 1.3 kB\n")
+        assert err.endswith(
+            "at d = 9, p = 0.5 the run returns 81 outcome density matrices of 9 x 9 amplitudes, 105.0 kB\n"
+        )
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         rc = main(["--dims", "2", "--p-grid", "0:0:1", "--out", str(tmp_path / "nope" / "x.csv")])

@@ -661,7 +661,7 @@ class TestOutcomeMapEngine:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        d=st.integers(2, 6),
+        d=st.integers(2, 8),
         variant=st.sampled_from(VARIANTS),
         targets=st.sampled_from(["a1", "a2", "a1a2"]),
         p=st.floats(0.0, 1.0),
@@ -685,6 +685,10 @@ class TestOutcomeMapEngine:
         )
         res = run_protocol(config)
         assert_records_match(res.records, branch_form_run(config))
+        # the same channel as dense operators takes the Kraus-pair path, unfolded
+        dense = KrausChannel(d=d, operators=ch.operators)
+        unfolded = replace(config, **{f"noise_{t}": dense for t in ("a1", "a2") if t in targets})
+        assert_records_match(res.records, run_protocol(unfolded).records)
 
         # the density-matrix reference evolves d^3 x d^3 matrices once per Kraus
         # pair; it runs up to the cost of Weyl noise on both qudits at d = 4
@@ -782,6 +786,113 @@ class TestOutcomeMapEngine:
                 enumerate_outcomes(d, branches)
             else:
                 run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
+
+
+def l2(d, label):
+    """L2 (i, m) = (-i, m) mod d: the A1 label a Weyl error on A2 acts as."""
+    return (-label[0]) % d, label[1]
+
+
+def brute_force_fold(d, w_a1, w_a2):
+    """Q(e) = sum w_a1(a) w_a2(b) over a + L2 b = e, one pair at a time."""
+    q = np.zeros((d, d))
+    for a in zip(*w_a1.nonzero()):
+        for b in zip(*w_a2.nonzero()):
+            i, m = l2(d, b)
+            q[(a[0] + i) % d, (a[1] + m) % d] += w_a1[a] * w_a2[b]
+    return q
+
+
+def label_table(d, weights):
+    table = np.zeros((d, d))
+    for label, w in weights.items():
+        table[label] = w
+    return table
+
+
+class TestWeylFold:
+    """The sender's two Weyl channels fold into one label table on A1."""
+
+    @pytest.mark.parametrize(
+        "d, convention",
+        [(d, GENERAL) for d in range(2, 6)] + [(3, QUTRIT_ALT)],
+        ids=[str(d) for d in range(2, 6)] + ["3-qutrit-alt"],
+    )
+    def test_a2_error_acts_as_l2_label_on_a1(self, d, convention):
+        # exact single-operator channels on the Kraus-pair path, no fold involved
+        phi = random_pure_state(d, d)
+        for b in np.ndindex(d, d):
+            on_a2 = KrausChannel(d=d, operators=(weyl(d, *b),))
+            on_a1 = KrausChannel(d=d, operators=(weyl(d, *l2(d, b)),))
+            for label in np.ndindex(d, d):
+                config = ProtocolConfig(
+                    d=d, input_state=phi, bell_label=label, convention=convention, noise_a2=on_a2
+                )
+                got = run_protocol(config).records
+                want = run_protocol(replace(config, noise_a1=on_a1, noise_a2=None)).records
+                assert_records_match(got, want)
+                assert {r.receiver_state.ndim for r in got} == {1}
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_fold_is_the_pairwise_sum(self, d):
+        rng = np.random.default_rng(d)
+        for variant in VARIANTS:
+            for p in (0.0, 0.37, 1.0):
+                w = crosstalk_channel(d, p, variant).weyl_weights
+                q = protocol._fold_weyl_weights(d, w, w)
+                np.testing.assert_allclose(q, brute_force_fold(d, w, w), rtol=1e-14, atol=0)
+                assert (q >= 0).all() and abs(q.sum() - 1) < 1e-14
+        # sparse random tables: the support is exactly the sum of the supports
+        w1, w2 = rng.random((2, d, d)) * (rng.random((2, d, d)) < 0.3)
+        q = protocol._fold_weyl_weights(d, w1, w2)
+        want = brute_force_fold(d, w1, w2)
+        np.testing.assert_allclose(q, want, rtol=1e-14, atol=0)
+        assert np.array_equal(q > 0, want > 0)
+        assert np.array_equal(protocol._fold_weyl_weights(d, w1, None), w1)
+        assert np.array_equal(protocol._fold_weyl_weights(d, None, None), label_table(d, {(0, 0): 1.0}))
+
+    def test_p_zero_keeps_one_label_and_kets(self):
+        d = 8
+        ch = crosstalk_channel(d, 0.0, WEYL)
+        columns, coefficients = protocol._folded_sender(d, ch.weyl_weights.tobytes(), None)
+        assert columns.shape == coefficients.shape == (1, d)
+        config = ProtocolConfig(d=d, input_state=random_pure_state(d, 8), noise_a1=ch, noise_a2=ch)
+        assert {r.receiver_state.ndim for r in run_protocol(config).records} == {1}
+
+    @pytest.mark.parametrize(
+        "d, convention",
+        [(3, GENERAL), (4, GENERAL), (5, GENERAL), (3, QUTRIT_ALT)],
+        ids=["3", "4", "5", "3-qutrit-alt"],
+    )
+    @pytest.mark.parametrize("scheme", [DERIVED_EXACT, PAPER_WEYL])
+    def test_asymmetric_tables(self, d, convention, scheme):
+        # crosstalk tables are invariant under the label sign maps, so they
+        # cannot tell L2 from another sign map; these two-label tables can
+        w1 = label_table(d, {(1, 2): 0.3, (2, 1): 0.7})
+        w2 = label_table(d, {(0, 1): 0.4, (1, 2): 0.6})
+        q = protocol._fold_weyl_weights(d, w1, w2)
+        # a + L2 b for each pair; L2 (1, 2) = (-1, 2)
+        want = {}
+        for a, wa in ((1, 2), 0.3), ((2, 1), 0.7):
+            for b, wb in ((0, 1), 0.4), ((1, 2), 0.6):
+                e = ((a[0] - b[0]) % d, (a[1] + b[1]) % d)
+                want[e] = want.get(e, 0.0) + wa * wb
+        np.testing.assert_allclose(q, label_table(d, want), rtol=1e-15, atol=0)
+
+        a1, a2 = (KrausChannel(d=d, weyl_weights=w) for w in (w1, w2))
+        for label in np.ndindex(d, d):
+            config = ProtocolConfig(
+                d=d, input_state=random_pure_state(d, 7), bell_label=label,
+                convention=convention, noise_a1=a1, noise_a2=a2, correction=scheme,
+            )
+            res = run_protocol(config)
+            dense = replace(
+                config,
+                noise_a1=KrausChannel(d=d, operators=a1.operators),
+                noise_a2=KrausChannel(d=d, operators=a2.operators),
+            )
+            assert_records_match(res.records, run_protocol(dense).records)
+            assert_records_match(res.records, branch_form_run(config))
 
 
 def dense_contraction(d, branches):
@@ -909,9 +1020,8 @@ class TestMonomialCorrection:
         # the outcome map's own uncorrected records
         table_config = replace(config, correction=CorrectionTable(d=d, entries=dense))
         table_records = run_protocol(table_config).records
-        eye = np.eye(d, dtype=complex)[None]
         uncorrected = protocol._outcome_map(
-            d, phi, bell_state(d, (0, 0)), eye if noise is None else noise.operator_stack, eye, convention
+            d, phi, bell_state(d, (0, 0)), *protocol._sender_noise(d, phi, noise, None), convention
         )
         for got, want in zip(table_records, dense_scoring(table_config, uncorrected), strict=True):
             assert (got.i, got.m, got.probability, got.fidelity) == (
