@@ -12,7 +12,6 @@ from .channels import (
     SHIFT,
     VARIANTS,
     WEYL,
-    Branches,
     CompletenessError,
     KrausChannel,
     apply_channel_to_branches,

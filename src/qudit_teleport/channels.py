@@ -18,18 +18,15 @@ d^2 floats where the dense operators are d^4 amplitudes (268 MB at d = 64).
 reads any other channel as its (K, d, d) ``operator_stack``; a label-form
 channel builds its operators only when something asks for them.
 
-The weighted-branch form is the reference the tests compare against:
-``Branches`` holds the branch weights as one (n,) array and the kets as one
-(n, dim) array, and ``apply_channel_to_branches`` fans every branch out over
-every Kraus operator in one stacked product, which
-``protocol.enumerate_outcomes`` reads in place. No run path calls it.
+``apply_channel_to_branches`` is the reference the tests compare against:
+it fans weighted (weight, ket) branches out over a channel's operators, one
+product per (branch, operator). No run path calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,11 +40,10 @@ __all__ = [
     "INDEPENDENT",
     "CompletenessError",
     "KrausChannel",
-    "Branches",
     "weyl",
     "weyl_phases",
+    "weyl_monomial",
     "crosstalk_channel",
-    "crosstalk_kraus_count",
     "apply_channel_to_branches",
 ]
 
@@ -81,6 +77,18 @@ def weyl_phases(d: int) -> np.ndarray:
     return phases
 
 
+def weyl_monomial(d: int, i, m) -> tuple[np.ndarray, np.ndarray]:
+    """U_(i,m) as (columns, phases): row k holds phases[..., k] at column columns[..., k].
+
+    U_(i,m) = sum_k w^(k i) |k><k+m mod d|, so columns[k] = (k + m) mod d
+    and phases[k] = w^(k i mod d). ``i`` and ``m`` may be arrays of labels;
+    they broadcast, and the last axis runs over k.
+    """
+    k = np.arange(d)
+    i, m = np.asarray(i)[..., None], np.asarray(m)[..., None]
+    return (k + m) % d, weyl_phases(d)[(k * i) % d]
+
+
 def weyl(d: int, i: int, m: int) -> np.ndarray:
     """Generalized Pauli operator U_(i,m) = sum_k w^(k i) |k><k+m mod d|.
 
@@ -89,9 +97,9 @@ def weyl(d: int, i: int, m: int) -> np.ndarray:
     """
     if not (0 <= i < d and 0 <= m < d):
         raise ValueError(f"weyl indices ({i}, {m}) out of range for dimension {d}")
-    k = np.arange(d)
+    columns, phases = weyl_monomial(d, i, m)
     U = np.zeros((d, d), dtype=complex)
-    U[k, (k + m) % d] = weyl_phases(d)[(k * i) % d]
+    U[np.arange(d), columns] = phases
     return U
 
 
@@ -190,11 +198,6 @@ def _crosstalk_weights(d: int, p: float, variant: str) -> np.ndarray:
     return weights
 
 
-def crosstalk_kraus_count(d: int, p: float, variant: str = WEYL) -> int:
-    """How many operators ``crosstalk_channel(d, p, variant)`` holds, without building them."""
-    return int(np.count_nonzero(_crosstalk_weights(d, p, variant)))
-
-
 def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
     """Crosstalk channel at flip probability p, in label form; zero-weight labels hold no operator."""
     return KrausChannel(
@@ -202,63 +205,12 @@ def crosstalk_channel(d: int, p: float, variant: str = WEYL) -> KrausChannel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Branches:
-    """Weighted pure-state branches held as two arrays.
-
-    ``weights`` has shape (n,) and ``kets`` shape (n, dim), one ket per
-    row. Indexing and iteration give ``(weight, ket)`` pairs, the ket a row
-    view of ``kets``, so a ``Branches`` reads like the list of pairs it
-    stands for.
-    """
-
-    weights: np.ndarray
-    kets: np.ndarray
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
-        kets = np.ascontiguousarray(self.kets, dtype=complex)
-        if kets.ndim != 2 or weights.shape != kets.shape[:1]:
-            raise ValueError(f"{weights.shape} weights for kets of shape {kets.shape}")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "kets", kets)
-
-    @classmethod
-    def of(cls, branches: Branches | Sequence[tuple[float, np.ndarray]], size: int) -> Branches:
-        """``branches`` with every ket checked to hold ``size`` amplitudes.
-
-        A ``Branches`` is returned as it is; a sequence of (weight, ket)
-        pairs is checked pair by pair and then stacked once.
-        """
-        if isinstance(branches, cls):
-            if branches.kets.shape[1] != size:
-                raise ValueError(
-                    f"branch state has dimension {branches.kets.shape[1:]}, subsystems give {size}"
-                )
-            return branches
-        kets = [np.asarray(psi, dtype=complex) for _, psi in branches]
-        for psi in kets:
-            if psi.shape != (size,):
-                raise ValueError(f"branch state has dimension {psi.shape}, subsystems give {size}")
-        stack = np.stack(kets) if kets else np.empty((0, size), dtype=complex)
-        return cls(np.array([w for w, _ in branches], dtype=float), stack)
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __getitem__(self, j: int) -> tuple[float, np.ndarray]:
-        return float(self.weights[j]), self.kets[j]
-
-    def __iter__(self) -> Iterator[tuple[float, np.ndarray]]:
-        return zip(self.weights.tolist(), self.kets)
-
-
 def apply_channel_to_branches(
     channel: KrausChannel,
-    branches: Branches | Sequence[tuple[float, np.ndarray]],
+    branches: Sequence[tuple[float, np.ndarray]],
     dims: Sequence[int],
     target: int,
-) -> Branches:
+) -> list[tuple[float, np.ndarray]]:
     """Apply a channel to one subsystem of weighted pure-state branches.
 
     ``dims`` lists the subsystem dimensions of every branch state and
@@ -267,12 +219,6 @@ def apply_channel_to_branches(
     operator with weight w * ||C psi||^2 and the renormalized ket, ordered
     branch-major, operator-minor; branches at or below ``WEIGHT_FLOOR`` are
     dropped. Total weight is preserved.
-
-    ``branches`` is a ``Branches`` or a sequence of (weight, ket) pairs,
-    which is stacked once. Every operator meets every branch in one stacked
-    product, written into one (branches x operators, prod(dims)) array; the
-    returned ``Branches`` holds that array itself when no branch is dropped,
-    and its kept rows otherwise.
     """
     dims = tuple(int(x) for x in dims)
     if not 0 <= target < len(dims):
@@ -282,37 +228,28 @@ def apply_channel_to_branches(
             f"channel dimension {channel.d} does not match subsystem {target} "
             f"of dimension {dims[target]}"
         )
-    total = int(np.prod(dims))
-    branches = Branches.of(branches, total)
-    if not len(branches):
-        return branches
+    size = int(np.prod(dims))
+    branches = [(float(w), np.asarray(psi, dtype=complex)) for w, psi in branches]
+    for _, psi in branches:
+        if psi.shape != (size,):
+            raise ValueError(f"branch state has dimension {psi.shape}, subsystems give {size}")
     pre = int(np.prod(dims[:target], initial=1))
     post = int(np.prod(dims[target + 1 :], initial=1))
-    weights, stack = branches.weights, branches.kets
-    ops = channel.operator_stack
-    n_in, n_ops = weights.size, ops.shape[0]
-
-    # out[b, k] = (I (x) C_k (x) I) psi_b, one small GEMM per (branch, operator, pre)
-    out = np.empty((n_in, n_ops, pre, channel.d, post), dtype=complex)
-    np.matmul(ops[:, None], stack.reshape(n_in, 1, pre, channel.d, post), out=out)
-    rows = out.reshape(n_in * n_ops, total)
-    flat = rows.view(np.float64)
-    norms = np.sqrt(np.einsum("nx,nx->n", flat, flat))
-    new_weights = np.repeat(weights, n_ops) * norms * norms
     # the weight a branch carries is w ||psi||^2, which a complete channel keeps
-    stack_flat = stack.view(np.float64)
-    in_weight = float(weights @ np.einsum("bx,bx->b", stack_flat, stack_flat))
-    out_weight = float(new_weights.sum())
+    in_weight = sum(w * float(np.vdot(psi, psi).real) for w, psi in branches)
+    out_weight = 0.0
+    out = []
+    for w, psi in branches:
+        cube = psi.reshape(pre, channel.d, post)
+        for op in channel.operators:
+            new = np.einsum("ab,xbz->xaz", op, cube).reshape(-1)
+            norm = np.linalg.norm(new)
+            weight = w * norm * norm
+            out_weight += weight
+            if weight > WEIGHT_FLOOR:
+                out.append((weight, new / norm))
     if abs(out_weight - in_weight) > ROUNDOFF_TOL:
         raise RuntimeError(
             f"channel application changed total weight by {out_weight - in_weight:.3e}"
         )
-    kept = new_weights > WEIGHT_FLOOR
-    # numpy divides complex by real as a product with the reciprocal, so this is
-    # psi / ||psi|| bit for bit; dropped rows get scale 0, not a division by 0
-    scale = np.zeros_like(norms)
-    np.divide(1.0, norms, out=scale, where=kept)
-    flat *= scale[:, None]
-    if kept.all():
-        return Branches(new_weights, rows)
-    return Branches(new_weights[kept], rows[kept])
+    return out

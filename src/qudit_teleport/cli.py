@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channels import INDEPENDENT, VARIANTS, crosstalk_channel, crosstalk_kraus_count
+from .channels import INDEPENDENT, VARIANTS, crosstalk_channel
 from .linalg import EXACT_TOL, GRID_TOL
 from .protocol import DERIVED_EXACT, PAPER_WEYL, ProtocolConfig, run_protocol
 from .states import load_state, random_pure_state, uniform_state
@@ -407,7 +407,7 @@ def _large_dim_warning(config: SweepConfig) -> str | None:
 
     That is the d^2 outcome states the run returns, at the largest d and p:
     density matrices when the noise has more than one Weyl label, kets
-    otherwise; counted from the label table, without building a channel.
+    otherwise; counted from the channel's label table, no operator built.
     One outcome's receiver kets are never larger: the sender's two tables
     fold into at most d^2 labels, so they hold at most d^2 kets of d
     amplitudes.
@@ -416,7 +416,7 @@ def _large_dim_warning(config: SweepConfig) -> str | None:
     if not big:
         return None
     d, p = max(big), max(config.p_grid)
-    if crosstalk_kraus_count(d, p, config.noise) > 1:
+    if np.count_nonzero(crosstalk_channel(d, p, config.noise).weyl_weights) > 1:
         states, shape, amplitudes = "density matrices", f"{d} x {d}", d * d
     else:
         states, shape, amplitudes = "kets", f"{d}", d

@@ -26,15 +26,15 @@ it exactly.
 Monomial form
 -------------
 Every measurement row and every correction is a monomial matrix: d nonzero
-entries, one per row and column. The outcome map and the reference read the
-rows as ``measurement.monomial_rows`` (column positions and phases, shape
-(d^2, d)), and the named schemes are tabled the same way in closed form, as
-(column, phase) per row of each outcome's unitary u. Scoring applies u as
-gathers, u psi = phases * psi[columns] and u rho u^dag =
-(phases phases^dag) * rho[columns][:, columns], with no d x d unitary and no
-matrix product; only a ``CorrectionTable``, whose entries may be any
-unitaries, is applied as dense products. No run path builds a d^4 array:
-the dense rows are 268 MB at d = 64 and 4.3 GB at d = 128.
+entries, one per row and column. The outcome map reads the rows as
+``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
+and the named schemes are tabled the same way, as (column, phase) per row of
+each outcome's unitary u, the Weyl ones by ``channels.weyl_monomial``.
+Scoring applies u as gathers, u psi = phases * psi[columns] and
+u rho u^dag = (phases phases^dag) * rho[columns][:, columns], with no d x d
+unitary and no matrix product; only a ``CorrectionTable``, whose entries
+may be any unitaries, is applied as dense products. No run path builds a
+d^4 array: the dense rows are 268 MB at d = 64 and 4.3 GB at d = 128.
 
 Engine
 ------
@@ -78,8 +78,8 @@ the pair path unchanged.
 
 ``enumerate_outcomes`` is the reference: it takes weighted (A1, A2, B)
 branch kets, such as ``channels.apply_channel_to_branches`` fans out, and
-contracts every branch with every measurement row, one crystal group at a
-time. No run path calls it; the tests compare the outcome map against it.
+contracts them with the dense measurement rows. No run path calls it; the
+tests compare the outcome map against it.
 """
 
 from __future__ import annotations
@@ -92,11 +92,10 @@ import numpy as np
 
 from .channels import (
     INDEPENDENT,
-    Branches,
     KrausChannel,
     apply_channel_to_branches,  # not called here; perfbench's tracer wraps it under this name
     weyl,
-    weyl_phases,
+    weyl_monomial,
 )
 from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
 from .measurement import GENERAL, measurement_rows, monomial_rows
@@ -164,66 +163,46 @@ class OutcomeRecord:
 
 def enumerate_outcomes(
     d: int,
-    branches: Branches | Sequence[tuple[float, np.ndarray]],
+    branches: Sequence[tuple[float, np.ndarray]],
     convention: str = GENERAL,
 ) -> list[OutcomeRecord]:
     """Exact outcome table over all d^2 (detector, crystal) pairs.
 
-    Branches are weighted kets over the (A1, A2, B) system: a ``Branches``,
-    read in place, or a sequence of (weight, ket) pairs, stacked once.
-    Probabilities sum to the weight the branches carry,
-    sum_b w_b ||psi_b||^2, within 1e-10. Reads only the monomial rows and
-    works one crystal group at a time: besides the branch kets, the largest
-    array holds one group's d receivers of every branch, d^2 amplitudes per
-    branch.
+    Branches are (weight, ket) pairs over the (A1, A2, B) system, each ket
+    contracted with every dense measurement row. Probabilities sum to the
+    weight the branches carry, sum_b w_b ||psi_b||^2, within 1e-10.
     """
-    branches = Branches.of(branches, d**3)
-    if not len(branches):
+    kets = [np.asarray(psi, dtype=complex) for _, psi in branches]
+    if not kets:
         raise ValueError("no input branches")
-    weights, stack = branches.weights, branches.kets
-    nb = weights.size
-    cube = stack.reshape(nb, d * d, d).transpose(1, 0, 2)  # (A1A2, branch, B) view
-    flat = stack.view(np.float64)
-    carried = float(np.einsum("b,bx,bx->", weights, flat, flat))
-
-    positions, phases = monomial_rows(d, convention)
-    # group[i, branch, :] = row_(i,m) . psi_branch reshaped to (A1A2, B).
-    # Group m's d rows share their positions, so each group is one gather of
-    # d slabs and one product with the QFT phases of its d detectors.
-    group = np.empty((d, nb, d), dtype=complex)
-    norms2 = np.empty((d, nb), dtype=complex)
-    total = 0.0
-    records: list[OutcomeRecord] = [None] * (d * d)  # type: ignore[list-item]
-    for m in range(d):
-        slab = cube[positions[m]].reshape(d, nb * d)
-        np.matmul(phases[m::d], slab, out=group.reshape(d, nb * d))
-        np.einsum("ibj,ibj->ib", group, group.conj(), out=norms2)
-        # the product with the weights reads the real parts in place, as a
-        # strided view, which fixes its summation order
-        group_norms2 = norms2.real
-        group_probs = group_norms2 @ weights
-        total += float(group_probs.sum())
-        survives = weights * group_norms2 > WEIGHT_FLOOR
-        for i in range(d):
-            alive = survives[i].nonzero()[0]
-            p = float(group_probs[i])
-            if alive.size == 0:
-                state = np.zeros(d, dtype=complex)
-            elif alive.size == 1:
-                b = alive[0]
-                state = group[i, b] / np.sqrt(group_norms2[i, b])
-            else:
-                # raw receivers carry the collapse norms, so weighting by the
-                # plain branch weights yields a unit-trace mixture after /p
-                if alive.size == nb:
-                    vecs, mix = group[i], weights / p
-                else:
-                    vecs, mix = group[i, alive], weights[alive] / p
-                state = np.einsum("b,bi,bj->ij", mix, vecs, vecs.conj())
-            records[i * d + m] = OutcomeRecord(i=i, m=m, probability=p, receiver_state=state)
-
-    if abs(total - carried) > ROUNDOFF_TOL:
+    for psi in kets:
+        if psi.shape != (d**3,):
+            raise ValueError(f"branch state has dimension {psi.shape}, subsystems give {d**3}")
+    weights = np.array([w for w, _ in branches], dtype=float)
+    stack = np.stack(kets)
+    # receivers[o, b] = row_o . psi_b reshaped to (A1A2, B)
+    rows = measurement_rows(d, convention)
+    receivers = np.tensordot(rows, stack.reshape(-1, d * d, d), axes=([1], [1]))
+    norms2 = np.einsum("obj,obj->ob", receivers, receivers.conj()).real
+    probs = norms2 @ weights
+    carried = float(weights @ np.einsum("bx,bx->b", stack, stack.conj()).real)
+    if abs(float(probs.sum()) - carried) > ROUNDOFF_TOL:
         raise RuntimeError("outcome probabilities do not sum to the branch weight")
+
+    records = []
+    for o in range(d * d):
+        alive = np.flatnonzero(weights * norms2[o] > WEIGHT_FLOOR)
+        if alive.size == 0:
+            state = np.zeros(d, dtype=complex)
+        elif alive.size == 1:
+            state = receivers[o, alive[0]] / np.sqrt(norms2[o, alive[0]])
+        else:
+            # raw receivers carry the collapse norms, so weighting by the
+            # plain branch weights yields a unit-trace mixture after /p
+            vecs = receivers[o, alive]
+            state = np.einsum("b,bi,bj->ij", weights[alive] / probs[o], vecs, vecs.conj())
+        i, m = divmod(o, d)
+        records.append(OutcomeRecord(i=i, m=m, probability=float(probs[o]), receiver_state=state))
     return records
 
 
@@ -261,9 +240,8 @@ def _folded_sender(d: int, w_a1: bytes | None, w_a2: bytes | None) -> tuple[np.n
     tables = (None if w is None else np.frombuffer(w).reshape(d, d) for w in (w_a1, w_a2))
     q = _fold_weyl_weights(d, *tables)
     i, m = q.nonzero()
-    k = np.arange(d)
-    columns = (k + m[:, None]) % d
-    coefficients = np.sqrt(q[i, m])[:, None] * weyl_phases(d)[(k * i[:, None]) % d]
+    columns, phases = weyl_monomial(d, i, m)
+    coefficients = np.sqrt(q[i, m])[:, None] * phases
     columns.setflags(write=False)
     coefficients.setflags(write=False)
     return columns, coefficients
@@ -422,16 +400,13 @@ def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, np.
     Outcome o's unitary holds phases[o, k] at row k, column columns[o, k].
     Both arrays have shape (d^2, d) and are returned read-only.
     """
-    k = np.arange(d)
-    i, m = np.divmod(np.arange(d * d)[:, None], d)
+    i, m = np.divmod(np.arange(d * d), d)
     if scheme == PAPER_WEYL:
-        # U_(i,m) = sum_k w^(k i) |k><k+m|
-        columns = (k + m) % d
-        phases = weyl_phases(d)[(k * i) % d]
+        columns, phases = weyl_monomial(d, i, m)
     elif scheme == DERIVED_EXACT and convention == GENERAL:
         # U_((-i) mod d, m) INV = sum_k w^(k (-i mod d)) |k><-(k+m)|
-        columns = (-(k + m)) % d
-        phases = weyl_phases(d)[(k * ((-i) % d)) % d]
+        columns, phases = weyl_monomial(d, (-i) % d, m)
+        columns = (-columns) % d
     elif scheme == DERIVED_EXACT:
         # sqrt(d) conj(R): R's entry at (a, b) becomes row a, column b
         row_positions, row_phases = monomial_rows(d, convention)

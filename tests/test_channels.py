@@ -10,12 +10,10 @@ from qudit_teleport.channels import (
     SHIFT,
     VARIANTS,
     WEYL,
-    Branches,
     CompletenessError,
     KrausChannel,
     apply_channel_to_branches,
     crosstalk_channel,
-    crosstalk_kraus_count,
     weyl,
 )
 from qudit_teleport import channels, cli, protocol
@@ -86,8 +84,10 @@ class TestCrosstalkChannel:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_kraus_count_without_building(self, d, variant):
+        # the label table counts the operators the channel would build
         for p in (0.0, 0.1, 0.5, 1.0):
-            assert crosstalk_kraus_count(d, p, variant) == len(crosstalk_channel(d, p, variant).operators)
+            ch = crosstalk_channel(d, p, variant)
+            assert np.count_nonzero(ch.weyl_weights) == len(ch.operators)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_p_zero_collapses_to_identity(self, variant):
@@ -231,26 +231,6 @@ class TestKrausChannelValidation:
         assert abs(out.average_fidelity - 1) < 1e-12
 
 
-def per_operator_fanout(channel, branches, dims, target):
-    """The fan-out as one einsum and one norm per (branch, operator) pair.
-
-    The loop ``apply_channel_to_branches`` ran before it stacked the product;
-    kept as the reference the stacked fan-out must reproduce.
-    """
-    pre = int(np.prod(dims[:target], initial=1))
-    post = int(np.prod(dims[target + 1 :], initial=1))
-    out = []
-    for w, psi in branches:
-        cube = psi.reshape(pre, channel.d, post)
-        for op in channel.operators:
-            new = np.einsum("ab,xbz->xaz", op, cube).reshape(-1)
-            norm = np.linalg.norm(new)
-            nw = w * norm * norm
-            if nw > WEIGHT_FLOOR:
-                out.append((nw, new / norm))
-    return out
-
-
 def projector_channel(d):
     """Measurement in the computational basis: Kraus operators |k><k|."""
     return KrausChannel(d=d, operators=tuple(np.diag(np.eye(d)[k]) + 0j for k in range(d)))
@@ -304,28 +284,14 @@ class TestApplyChannelToBranches:
             apply_channel_to_branches(identity(3), [(1.0, uniform_state(4))], (2, 2), 0)
 
     def test_bad_state_dimension_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"branch state has dimension \(3,\), subsystems give 4"):
             apply_channel_to_branches(identity(2), [(1.0, uniform_state(3))], (2, 2), 0)
+        # a ket of one factor short of the joint system
+        with pytest.raises(ValueError, match=r"branch state has dimension \(4,\), subsystems give 8"):
+            apply_channel_to_branches(identity(2), [(1.0, uniform_state(4))], (2, 2, 2), 0)
 
     def test_empty_branch_list(self):
-        assert len(apply_channel_to_branches(crosstalk_channel(2, 0.5), [], (2, 2), 1)) == 0
-
-    def test_branches_and_pairs_give_the_same_fanout(self, rng):
-        d = 2
-        ch = crosstalk_channel(d, 0.5, WEYL)
-        v = rng.standard_normal(d**3) + 1j * rng.standard_normal(d**3)
-        first = apply_channel_to_branches(ch, [(1.0, v / np.linalg.norm(v))], (d, d, d), 0)
-        got = apply_channel_to_branches(ch, first, (d, d, d), 1)
-        want = apply_channel_to_branches(ch, list(first), (d, d, d), 1)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.kets, want.kets)
-
-    def test_branches_shapes_checked(self):
-        with pytest.raises(ValueError, match="weights for kets"):
-            Branches(np.ones(2), np.zeros((3, 4)))
-        wide = Branches(np.ones(1), uniform_state(4)[None])
-        with pytest.raises(ValueError, match=r"branch state has dimension \(4,\), subsystems give 8"):
-            apply_channel_to_branches(identity(2), wide, (2, 2, 2), 0)
+        assert apply_channel_to_branches(crosstalk_channel(2, 0.5), [], (2, 2), 1) == []
 
     def test_bad_branch_rejected_before_any_product(self):
         class Unread:
@@ -354,6 +320,8 @@ class TestApplyChannelToBranches:
     def test_matches_per_operator_loop(
         self, d, layout, target, kind, variant, p, n_ops, n_branches, seed
     ):
+        # the fan-out's mixture sum w psi psi^dag against the channel applied
+        # to the branches' density matrix, sum_k (I (x) C_k (x) I) rho (...)^dag
         rng = np.random.default_rng(seed)
         dims = (d,) if layout == "(d,)" else (d, d, d)
         target = min(target, len(dims) - 1)
@@ -376,11 +344,15 @@ class TestApplyChannelToBranches:
             branches.append((float(rng.uniform(0.01, 1.0)), psi))
 
         got = apply_channel_to_branches(channel, branches, dims, target)
-        want = per_operator_fanout(channel, branches, dims, target)
         if kind == "projector":
-            assert len(want) == int(levels.sum())
-        assert len(got) == len(want)
-        for (w_got, ket_got), (w_want, ket_want) in zip(got, want):
-            assert abs(w_got - w_want) <= 1e-14
-            assert ket_got.shape == ket_want.shape
-            assert np.max(np.abs(ket_got - ket_want)) <= 1e-14
+            # one branch per level a branch holds; the zero-weight rest are dropped
+            assert len(got) == int(levels.sum())
+        post = d ** len(dims) // (pre * d)
+        rho = sum(w * np.outer(psi, psi.conj()) for w, psi in branches)
+        lifted = [np.kron(np.kron(np.eye(pre), op), np.eye(post)) for op in channel.operators]
+        want = sum(k @ rho @ k.conj().T for k in lifted)
+        for w, ket in got:
+            assert w > WEIGHT_FLOOR
+            assert abs(np.linalg.norm(ket) - 1.0) <= 1e-12
+        mixture = sum(w * np.outer(ket, ket.conj()) for w, ket in got)
+        assert np.max(np.abs(mixture - want)) <= 1e-12

