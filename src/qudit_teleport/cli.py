@@ -378,6 +378,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         expected_trigger_probability=etp,
                     )
                 )
+                # the next run would otherwise start with this one's d^2 states alive
+                del proto
     return result
 
 

@@ -98,12 +98,15 @@ def crystal_operator(d: int, m: int, convention: str = GENERAL) -> CrystalOperat
 
 
 def qft(d: int) -> np.ndarray:
-    """Discrete Fourier transform matrix, entry (y, x) = w^(x y) / sqrt(d)."""
+    """Discrete Fourier transform matrix, entry (y, x) = w^(x y) / sqrt(d).
+
+    The exponent is reduced mod d before the exponential, so every entry
+    has modulus 1/sqrt(d) to within an ulp at any d.
+    """
     if d < 1:
         raise ValueError("dimension must be positive")
-    w = np.exp(2j * np.pi / d)
     y, x = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return w ** (x * y) / np.sqrt(d)
+    return np.exp(2j * np.pi * ((x * y) % d) / d) / np.sqrt(d)
 
 
 @lru_cache(maxsize=32)

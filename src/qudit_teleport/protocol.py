@@ -51,11 +51,19 @@ single outcome whose kets or d x d density matrix exceed it on their own
 goes over. The probabilities must sum to the weight the run carries
 (||phi||^2 for the input phi) within 1e-10.
 
+When A2 sees the identity, N_o = Phi^T R_o^T is one monomial matrix per
+outcome, every entry of modulus 1/d, and V_(o,k) = N_o a_k for the A1 kets
+a_k = A_k phi. Pair k then weighs |a_k|^2 / d^2 in every outcome, and the
+mixture is N_o rho N_o^dag with rho = sum a_k a_k^dag over the surviving
+pairs, one d x d product per run: each outcome's state is a gather of rho,
+O(d^2) work per outcome where the pairs cost O(K d^2). A dense A2 channel
+keeps the pair path: its operators sit between R_o and Phi, so a pair's
+weight, and whether it passes the floor, depends on the outcome.
+
 Weyl fold
 ---------
-When every configured channel is in label form, the two sender channels
-fold into one channel on A1 before the outcome map, and A2 sees the
-identity: a Weyl error b on A2 acts as the error L2 b on A1, with
+A label-form A2 channel folds onto A1 before the outcome map, and A2 then
+sees the identity: a Weyl error b on A2 acts as the error L2 b on A1, with
 L2 (i, m) = (-i, m) mod d, so the pair (a, b) acts as the label
 e = a + L2 b and the d^4 pairs collapse to at most d^2 labels with weights
 Q(e) (``_fold_weyl_weights``). Derivation, up to phases that depend only on
@@ -72,9 +80,11 @@ Q(e) (``_fold_weyl_weights``). Derivation, up to phases that depend only on
 * hence U_b^T R_o^T, proportional to U_(b_i,-b_m) R_o^T, is proportional
   to R_o^T U_(-b_i, b_m) = R_o^T U_(L2 b).
 
-A label's A1 ket sqrt(Q(e)) U_e phi is a gather from phi, so a folded run
-builds no d x d operator. Dense channels, such as random Kraus sets, take
-the pair path unchanged.
+With the A1 channel in label form too (or absent), the two tables fold into
+one, and a label's A1 ket sqrt(Q(e)) U_e phi is a gather from phi, so the
+run builds no d x d operator. Beside a dense A1 channel the A2 labels fold
+pair by pair, into the kets sqrt(w_a2(b)) U_(L2 b) A_k phi. Only a dense A2
+channel, such as a random Kraus set, takes the pair path.
 
 ``enumerate_outcomes`` is the reference: it takes weighted (A1, A2, B)
 branch kets, such as ``channels.apply_channel_to_branches`` fans out, and
@@ -228,14 +238,16 @@ def _fold_weyl_weights(d: int, w_a1: np.ndarray | None, w_a2: np.ndarray | None)
     return q
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _folded_sender(d: int, w_a1: bytes | None, w_a2: bytes | None) -> tuple[np.ndarray, np.ndarray]:
     """The folded sender channel as monomial operators sqrt(Q(e)) U_e, e in supp Q.
 
     Keyed on the two tables' bytes (None for an absent channel). Operator j
     holds coefficients[j, k] at row k, column columns[j, k], since
     (U_(i,m) phi)_k = w^(k i) phi_(k+m); the labels are in row-major order.
-    Both arrays have shape (|supp Q|, d) and are returned read-only.
+    Both arrays have shape (|supp Q|, d) and are returned read-only. One
+    entry is kept: consecutive runs of one sweep point share it, and a sweep
+    that moves on never returns to a point it left.
     """
     tables = (None if w is None else np.frombuffer(w).reshape(d, d) for w in (w_a1, w_a2))
     q = _fold_weyl_weights(d, *tables)
@@ -249,22 +261,25 @@ def _folded_sender(d: int, w_a1: bytes | None, w_a2: bytes | None) -> tuple[np.n
 
 def _sender_noise(
     d: int, phi: np.ndarray, noise_a1: KrausChannel | None, noise_a2: KrausChannel | None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The outcome map's A1 kets and A2 operator stack for one run.
 
-    When every configured channel is in label form, the two tables fold into
-    one on A1 and A2 sees the identity: the kets are sqrt(Q(e)) U_e phi, one
-    per label, a gather from phi. Otherwise they are A_k phi beside the A2
-    stack. An absent channel is the identity.
+    A dense A2 channel keeps its stack beside the A1 kets A_k phi. Otherwise
+    A2 sees the identity, returned as None: its label table folds onto A1
+    (an absent channel is the identity label). With the A1 table also in
+    label form or absent, the kets are sqrt(Q(e)) U_e phi, one per label, a
+    gather from phi; beside a dense A1 channel they are
+    sqrt(w_a2(b)) U_(L2 b) A_k phi, one per Kraus pair.
     """
-    eye = np.eye(d, dtype=complex)[None]
-    noise = (noise_a1, noise_a2)
-    if all(ch is None or ch.weyl_weights is not None for ch in noise):
-        keys = (None if ch is None else ch.weyl_weights.tobytes() for ch in noise)
-        columns, coefficients = _folded_sender(d, *keys)
-        return coefficients * phi[columns], eye
-    ops_a1, ops_a2 = (eye if ch is None else ch.operator_stack for ch in noise)
-    return ops_a1 @ phi, ops_a2
+    if noise_a2 is not None and noise_a2.weyl_weights is None:
+        ops_a1 = np.eye(d, dtype=complex)[None] if noise_a1 is None else noise_a1.operator_stack
+        return ops_a1 @ phi, noise_a2.operator_stack
+    dense_a1 = noise_a1 is not None and noise_a1.weyl_weights is None
+    tables = (None if dense_a1 else noise_a1, noise_a2)
+    keys = (None if ch is None else ch.weyl_weights.tobytes() for ch in tables)
+    columns, coefficients = _folded_sender(d, *keys)
+    base = noise_a1.operator_stack @ phi if dense_a1 else phi[None]
+    return (coefficients * base[:, columns]).reshape(-1, d), None
 
 
 def _outcome_map(
@@ -272,25 +287,97 @@ def _outcome_map(
     phi: np.ndarray,
     bell: np.ndarray,
     kets_a1: np.ndarray,
-    ops_a2: np.ndarray,
+    ops_a2: np.ndarray | None,
     convention: str,
 ) -> list[OutcomeRecord]:
     """The outcome table of ``enumerate_outcomes`` without the branch kets.
 
     ``kets_a1`` holds the A1 kets A_k phi, shape (K, d), and ``ops_a2`` is
-    the (L, d, d) A2 operator stack. Pair (k, l) is ordered k * L + l, as
-    the fan-out orders its branches. ``phi`` gives the weight the
-    probabilities must sum to.
+    the (L, d, d) A2 operator stack, or None when A2 sees the identity.
+    ``phi`` gives the weight the probabilities must sum to.
+    """
+    positions, phases = monomial_rows(d, convention)
+    if ops_a2 is None:
+        records = _sender_state_records(d, bell, kets_a1, positions, phases)
+    else:
+        records = _pair_records(d, bell, kets_a1, ops_a2, positions, phases)
+    # complete channels keep the weight the input carries, ||phi||^2
+    total = sum(rec.probability for rec in records)
+    if abs(total - float(np.vdot(phi, phi).real)) > ROUNDOFF_TOL:
+        raise RuntimeError("outcome probabilities do not sum to the branch weight")
+    return records
+
+
+def _sender_state_records(
+    d: int, bell: np.ndarray, kets_a1: np.ndarray, positions: np.ndarray, phases: np.ndarray
+) -> list[OutcomeRecord]:
+    """Every outcome's record when A2 sees the identity, as gathers of one sender state.
+
+    With Phi monomial too, outcome o sends the A1 ket a_k to the receiver
+    as V_(o,k) = N_o a_k, N_o = Phi^T R_o^T a monomial matrix with
+    N_o[B, cols[o, B]] = coefs[o, B], every entry of modulus 1/d. So pair k
+    weighs |a_k|^2 / d^2 in every outcome, p_o = sum_B |coefs[o, B]|^2
+    n[cols[o, B]] with n = sum_k |a_k|^2 per level, and the mixture over the
+    surviving pairs is N_o rho N_o^dag, rho = sum_alive a_k a_k^dag: a
+    gather of one d x d matrix per outcome.
+    """
+    # row o's entry (a, b) sends A1 level a to A2 level b, and the Bell pair
+    # sends A2 level b to receiver level out[o, j]
+    a, b = np.divmod(positions, d)
+    pair = bell.reshape(d, d)
+    out = np.abs(pair).argmax(axis=1)[b]
+    o = np.arange(d * d)[:, None]
+    cols, coefs = np.empty_like(a), np.empty_like(phases)
+    cols[o, out] = a
+    coefs[o, out] = phases * pair[b, out]
+
+    level_weights = kets_a1.real**2 + kets_a1.imag**2
+    n = level_weights.sum(axis=0)
+    probs = (np.abs(coefs) ** 2 * n[cols]).sum(axis=1)
+    alive = (level_weights.sum(axis=1) / d**2 > WEIGHT_FLOOR).nonzero()[0]
+    alive_kets = kets_a1[alive]
+    rho = alive_kets.T @ alive_kets.conj()
+    records = []
+    # a mixed record's d x d matrix bounds the chunk
+    chunk = max(1, OUTCOME_CHUNK_BYTES // (d * d * np.dtype(complex).itemsize))
+    for start in range(0, d * d, chunk):
+        c, k = cols[start : start + chunk], coefs[start : start + chunk]
+        if alive.size == 0:
+            block = np.zeros(c.shape, dtype=complex)
+        elif alive.size == 1:
+            block = k * alive_kets[0][c]
+            block /= np.sqrt((block.real**2 + block.imag**2).sum(axis=1))[:, None]
+        else:
+            block = rho[c[:, :, None], c[:, None, :]]
+            block *= k[:, :, None]
+            block *= k[:, None, :].conj()
+            block /= probs[start : start + chunk, None, None]
+        for j, state in enumerate(block, start):
+            i, m = divmod(j, d)
+            p = float(probs[j])
+            records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
+    return records
+
+
+def _pair_records(
+    d: int,
+    bell: np.ndarray,
+    kets_a1: np.ndarray,
+    ops_a2: np.ndarray,
+    positions: np.ndarray,
+    phases: np.ndarray,
+) -> list[OutcomeRecord]:
+    """Every outcome's record from the receiver ket of each Kraus pair.
+
+    Pair (k, l) is ordered k * L + l, as the fan-out orders its branches.
     """
     # B_l Phi laid out (A2, (l, B)): x @ b_out is V for every l at once
     b_out = (ops_a2 @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
     n_a1, pairs = kets_a1.shape[0], kets_a1.shape[0] * len(ops_a2)
-    positions, phases = monomial_rows(d, convention)
     # the receiver kets are a chunk's largest array: pairs * d amplitudes per outcome
     chunk = max(1, OUTCOME_CHUNK_BYTES // (pairs * d * np.dtype(complex).itemsize))
 
     records = []
-    total = 0.0
     for start in range(0, d * d, chunk):
         a, b = np.divmod(positions[start : start + chunk], d)
         n = a.shape[0]
@@ -302,7 +389,6 @@ def _outcome_map(
         flat = kets.view(np.float64)
         weights = np.einsum("opj,opj->op", flat, flat)
         probs = weights.sum(axis=1)
-        total += float(probs.sum())
         # a mixed record sums k k^dag over the pairs above the weight floor
         kets[weights <= WEIGHT_FLOOR] = 0.0
         for j in range(n):
@@ -316,9 +402,6 @@ def _outcome_map(
             else:
                 state = (kets[j].T @ kets[j].conj()) / p
             records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
-    # complete channels keep the weight the input carries, ||phi||^2
-    if abs(total - float(np.vdot(phi, phi).real)) > ROUNDOFF_TOL:
-        raise RuntimeError("outcome probabilities do not sum to the branch weight")
     return records
 
 

@@ -43,10 +43,10 @@ def bell_state(d: int, label: tuple[int, int]) -> np.ndarray:
         raise ValueError("dimension must be positive")
     if not (0 <= l < d and 0 <= m < d):
         raise ValueError(f"bell label {label} out of range for dimension {d}")
-    w = np.exp(2j * np.pi / d)
     v = np.zeros(d * d, dtype=complex)
     for k in range(d):
-        v[k * d + (k + m) % d] = w ** (l * k)
+        # w^(l k) with the exponent reduced mod d, so its modulus is 1 at any d
+        v[k * d + (k + m) % d] = np.exp(2j * np.pi * ((l * k) % d) / d)
     return v / np.sqrt(d)
 
 

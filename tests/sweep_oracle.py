@@ -43,10 +43,10 @@ def printed(x: Decimal | Fraction) -> str:
     return format(PRINTED.plus(x).normalize(), "f")
 
 
-def render() -> bytes:
-    """The default sweep's CSV: one row per (d, p), uniform input, seed 0."""
+def render(dims: tuple[int, ...] = DIMS) -> bytes:
+    """The CSV of ``qudit-teleport --dims <dims>``: one row per (d, p), uniform input, seed 0."""
     lines = [HEADER]
-    for d in DIMS:
+    for d in dims:
         for p in P_GRID:
             f = printed(fidelity(d, p))
             lines.append(f"{d},{printed(p)},weyl,independent,derived-exact,uniform,0,{f},{f},0,1")

@@ -300,6 +300,10 @@ class TestRunSweep:
         # the CSV the CI compares with cmp: every printed digit from the formula
         assert emit(run_sweep(parse_cli([])), "csv") == oracle_csv()
 
+    def test_d32_sweep_equals_closed_form_oracle(self):
+        # every p of the default grid, far past the default dims
+        assert emit(run_sweep(parse_cli(["--dims", "32"])), "csv") == oracle_csv((32,))
+
     def test_noiseless_point_reaches_unit_fidelity(self):
         cfg = parse_cli(["--dims", "2", "--p-grid", "0:0:1"])
         rows = run_sweep(cfg).rows

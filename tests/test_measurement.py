@@ -101,6 +101,12 @@ class TestQft:
         np.testing.assert_allclose(np.linalg.matrix_power(f, 4), np.eye(d), atol=1e-10)
 
 
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_entry_moduli_exact_at_large_d(self, d):
+        # the exponent x y is reduced mod d before the exponential
+        assert np.max(np.abs(np.abs(qft(d)) * np.sqrt(d) - 1)) <= 4e-16
+
+
 class TestMeasurementOperator:
     """M_(i,m) = |i><i| QFT M_m, represented by its one nonzero row."""
 

@@ -925,6 +925,96 @@ class TestWeylFold:
             assert_records_match(res.records, branch_form_run(config))
 
 
+class TestSenderStatePath:
+    """When A2 sees the identity, every record is a gather of one sender state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        a1_form=st.sampled_from(["label", "dense", "isometry"]),
+        a2_label=st.booleans(),
+        variant=st.sampled_from(VARIANTS),
+        # flip probabilities down to where one Kraus pair weighs about WEIGHT_FLOOR
+        p=st.one_of(st.just(0.0), st.floats(-23.0, 0.0).map(lambda e: 10.0**e)),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pair_path(self, d, a1_form, a2_label, variant, p, convention, data, seed):
+        if convention == QUTRIT_ALT:
+            d = 3
+        ch = crosstalk_channel(d, p, variant)
+        a1 = {
+            "label": ch,
+            "dense": KrausChannel(d=d, operators=ch.operators),
+            "isometry": isometry_channel(d, 3, np.random.default_rng(seed)),
+        }[a1_form]
+        a2 = ch if a2_label else None
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        phi = random_pure_state(d, seed)
+        kets, ops_a2 = protocol._sender_noise(d, phi, a1, a2)
+        assert ops_a2 is None
+        # the same kets beside an explicit identity stack take the pair path
+        bell = bell_state(d, label)
+        got = protocol._outcome_map(d, phi, bell, kets, None, convention)
+        want = protocol._outcome_map(d, phi, bell, kets, np.eye(d, dtype=complex)[None], convention)
+        assert_records_match(got, want)
+
+        if a2_label and a1_form != "label":
+            # a label-form A2 channel beside a dense A1 one folds onto A1 pair
+            # by pair; as dense operators it takes the pair path
+            config = ProtocolConfig(
+                d=d, input_state=phi, bell_label=label, convention=convention,
+                noise_a1=a1, noise_a2=a2,
+            )
+            dense = replace(config, noise_a2=KrausChannel(d=d, operators=ch.operators))
+            assert_records_match(run_protocol(config).records, run_protocol(dense).records)
+
+    @pytest.mark.parametrize("p, kind", [(1.0e-23, 1), (2.0e-23, 2)])
+    def test_weight_floor_per_sender_ket(self, p, kind):
+        # at d = 2 each flip label of the a1 channel weighs p / 4, and its
+        # pair p / 16 in every outcome: below WEIGHT_FLOOR, then above it
+        d = 2
+        ch = crosstalk_channel(d, p, WEYL)
+        phi = random_pure_state(d, 3)
+        kets, _ = protocol._sender_noise(d, phi, ch, None)
+        bell = bell_state(d, (0, 0))
+        got = protocol._outcome_map(d, phi, bell, kets, None, GENERAL)
+        want = protocol._outcome_map(d, phi, bell, kets, np.eye(d, dtype=complex)[None], GENERAL)
+        assert [r.receiver_state.ndim for r in got] == [kind] * d * d
+        assert_records_match(got, want)
+
+    @pytest.mark.parametrize(
+        "a1, a2, pair_path",
+        [
+            (None, None, False), ("label", None, False), (None, "label", False),
+            ("label", "label", False), ("dense", None, False), ("dense", "label", False),
+            (None, "dense", True), ("label", "dense", True), ("dense", "dense", True),
+        ],
+    )
+    def test_only_a_dense_a2_channel_takes_the_pair_path(self, monkeypatch, a1, a2, pair_path):
+        d = 3
+        channels = {
+            None: None,
+            "label": crosstalk_channel(d, 0.3, WEYL),
+            "dense": isometry_channel(d, 2, np.random.default_rng(3)),
+        }
+        stacks = []
+        original = protocol._outcome_map
+
+        def recorded(d, phi, bell, kets_a1, ops_a2, convention):
+            stacks.append(ops_a2)
+            return original(d, phi, bell, kets_a1, ops_a2, convention)
+
+        monkeypatch.setattr(protocol, "_outcome_map", recorded)
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, 3), noise_a1=channels[a1], noise_a2=channels[a2]
+        )
+        records = run_protocol(config).records
+        assert len(stacks) == 1 and (stacks[0] is not None) == pair_path
+        assert_records_match(records, branch_form_run(config))
+
+
 class TestMonomialLayer:
     @pytest.mark.parametrize(
         "d, convention",

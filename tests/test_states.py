@@ -56,6 +56,11 @@ class TestBellState:
         np.testing.assert_array_equal(nz, [k * d + k for k in range(d)])
         np.testing.assert_allclose(v[nz], 1 / np.sqrt(d), atol=1e-15)
 
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_amplitude_moduli_exact_at_large_d(self, d):
+        v = bell_state(d, (d - 1, 1))
+        assert np.max(np.abs(np.abs(v[np.abs(v) > 0]) * np.sqrt(d) - 1)) <= 4e-16
+
     @pytest.mark.parametrize("d,s", [(2, 1), (3, 1), (3, 2), (5, 2), (8, 3)])
     def test_shift_covariance(self, d, s):
         # U_(0,s) shifts |l> down by s, so acting on the second qudit of the
