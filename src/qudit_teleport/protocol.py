@@ -26,7 +26,7 @@ it exactly.
 Monomial form
 -------------
 Every measurement row and every correction is a monomial matrix: d nonzero
-entries, one per row and column. The outcome map reads the rows as
+entries, one per row and column. Both run paths read the rows as
 ``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
 and the named schemes are tabled the same way, as (column, phase) per row of
 each outcome's unitary u, the Weyl ones by ``channels.weyl_monomial``.
@@ -38,31 +38,42 @@ d^4 array: the dense rows are 268 MB at d = 64 and 4.3 GB at d = 128.
 
 Engine
 ------
-``run_protocol`` computes the uncorrected outcome records with the outcome
-map, ``_outcome_map``, and then corrects and scores them in one place; an
+``run_protocol`` takes one of two paths, both built on one sender state; an
 absent channel is the identity. With Phi the Bell pair reshaped to d x d
 (A2, B) and R_o outcome o's row reshaped to d x d (A1, A2), Kraus pair
-(A_k, B_l) leaves the receiver the unnormalized ket
-V_(o,k,l) = Phi^T B_l^T x_(o,k), x_(o,k) = R_o^T A_k phi, a gather and a
-scale since R_o is monomial. The weights |V|^2 give p_o and the surviving
-pairs; no d^3-amplitude branch ket is built. Outcomes are processed in
-chunks, and OUTCOME_CHUNK_BYTES bounds every array a chunk allocates; only a
-single outcome whose kets or d x d density matrix exceed it on their own
-goes over. The probabilities must sum to the weight the run carries
-(||phi||^2 for the input phi) within 1e-10.
+(A_k, B_l) leaves the receiver the unnormalized ket V_(o,k,l) =
+Phi^T B_l^T R_o^T a_k, a_k = A_k phi. N_o = Phi^T R_o^T is one monomial
+matrix per outcome, every entry of modulus 1/d (``_receiver_monomial``),
+and rho = sum a_k a_k^dag runs over the sender kets whose weight
+|a_k|^2 / d^2 is above the floor. No d^3-amplitude branch ket is built.
 
-When A2 sees the identity, N_o = Phi^T R_o^T is one monomial matrix per
-outcome, every entry of modulus 1/d, and V_(o,k) = N_o a_k for the A1 kets
-a_k = A_k phi. Pair k then weighs |a_k|^2 / d^2 in every outcome, and the
-mixture is N_o rho N_o^dag with rho = sum a_k a_k^dag over the surviving
-pairs, one d x d product per run: each outcome's state is a gather of rho,
-O(d^2) work per outcome where the pairs cost O(K d^2). A dense A2 channel
-keeps the pair path: its operators sit between R_o and Phi, so a pair's
-weight, and whether it passes the floor, depends on the outcome.
+When A2 sees the identity (``_sender_state_records``), V_(o,k) = N_o a_k:
+pair k weighs |a_k|^2 / d^2 in every outcome, and the mixture is
+N_o rho N_o^dag, a gather of rho, O(d^2) work per outcome where the pairs
+cost O(K d^2). ``run_protocol`` then corrects and scores each record.
+
+A dense A2 channel moves to the receiver (``_dense_records``; teleportation
+as a channel on the receiver, Bowen and Bose, PRL 87, 267901, 2001). Since
+sqrt(d) Phi^T is unitary, Phi^T B_l^T = C_l Phi^T with
+C_l = d Phi^T B_l^T conj(Phi), so the unnormalized state is
+sum_l C_l X_o C_l^dag with X_o = N_o rho N_o^dag, and with u_o the
+correction:
+
+* p_o = tr(G X_o), G = sum_l C_l^dag C_l;
+* p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi.
+
+These score every outcome without its state; a record builds
+u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag on its first read. That record is
+a ket when one sender ket survives and the stack has one operator.
+
+Outcomes are processed in chunks, and OUTCOME_CHUNK_BYTES bounds every array
+a chunk allocates; only a single outcome whose own arrays exceed it goes
+over. The probabilities must sum to the weight the run carries (||phi||^2
+for the input phi) within 1e-10.
 
 Weyl fold
 ---------
-A label-form A2 channel folds onto A1 before the outcome map, and A2 then
+A label-form A2 channel folds onto A1 before the records are built, and A2 then
 sees the identity: a Weyl error b on A2 acts as the error L2 b on A1, with
 L2 (i, m) = (-i, m) mod d, so the pair (a, b) acts as the label
 e = a + L2 b and the d^4 pairs collapse to at most d^2 labels with weights
@@ -83,19 +94,20 @@ Q(e) (``_fold_weyl_weights``). Derivation, up to phases that depend only on
 With the A1 channel in label form too (or absent), the two tables fold into
 one, and a label's A1 ket sqrt(Q(e)) U_e phi is a gather from phi, so the
 run builds no d x d operator. Beside a dense A1 channel the A2 labels fold
-pair by pair, into the kets sqrt(w_a2(b)) U_(L2 b) A_k phi. Only a dense A2
-channel, such as a random Kraus set, takes the pair path.
+pair by pair, into the kets sqrt(w_a2(b)) U_(L2 b) A_k phi. Beside a dense
+A2 channel, such as a random Kraus set, a label-form A1 table is the fold of
+that table alone, so its kets are gathers too.
 
 ``enumerate_outcomes`` is the reference: it takes weighted (A1, A2, B)
 branch kets, such as ``channels.apply_channel_to_branches`` fans out, and
 contracts them with the dense measurement rows. No run path calls it; the
-tests compare the outcome map against it.
+tests compare both paths against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -128,9 +140,8 @@ __all__ = [
 PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
 
-# Bounds every array the outcome-map engine allocates for a chunk of outcomes;
-# a chunk holds at least one outcome, whose d x d density matrix or receiver
-# kets alone may exceed it.
+# Bounds every array either run path allocates for a chunk of outcomes; a
+# chunk holds at least one outcome, whose own arrays alone may exceed it.
 OUTCOME_CHUNK_BYTES = 4 * 2**20
 
 
@@ -161,7 +172,9 @@ class OutcomeRecord:
 
     ``receiver_state`` is a ket when a single noise branch survives and a
     density matrix otherwise. ``fidelity`` is None until a correction has
-    been applied, and then ``receiver_state`` is the corrected state.
+    been applied, and then ``receiver_state`` is the corrected state. A
+    run under a dense A2 channel scores its records without their states
+    and builds each ``receiver_state`` on its first read.
     """
 
     i: int
@@ -169,6 +182,27 @@ class OutcomeRecord:
     probability: float
     receiver_state: np.ndarray
     fidelity: float | None = None
+
+
+class _LazyRecord(OutcomeRecord):
+    """A scored record whose ``receiver_state`` is ``_build()``, called on first read.
+
+    ``scored`` makes one; the dataclass constructor, which
+    ``dataclasses.replace`` calls, makes a record that holds its state.
+    """
+
+    @classmethod
+    def scored(cls, i: int, m: int, probability: float, fidelity: float, build) -> _LazyRecord:
+        record = cls.__new__(cls)
+        # frozen fields; receiver_state stays unset until its first read
+        fields = {"i": i, "m": m, "probability": probability, "fidelity": fidelity, "_build": build}
+        for name, value in fields.items():
+            object.__setattr__(record, name, value)
+        return record
+
+    @cached_property
+    def receiver_state(self) -> np.ndarray:
+        return self._build()
 
 
 def enumerate_outcomes(
@@ -262,65 +296,30 @@ def _folded_sender(d: int, w_a1: bytes | None, w_a2: bytes | None) -> tuple[np.n
 def _sender_noise(
     d: int, phi: np.ndarray, noise_a1: KrausChannel | None, noise_a2: KrausChannel | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The outcome map's A1 kets and A2 operator stack for one run.
+    """The A1 kets and the dense A2 operator stack for one run.
 
-    A dense A2 channel keeps its stack beside the A1 kets A_k phi. Otherwise
-    A2 sees the identity, returned as None: its label table folds onto A1
-    (an absent channel is the identity label). With the A1 table also in
-    label form or absent, the kets are sqrt(Q(e)) U_e phi, one per label, a
-    gather from phi; beside a dense A1 channel they are
-    sqrt(w_a2(b)) U_(L2 b) A_k phi, one per Kraus pair.
+    Every label-form table folds onto A1 (an absent channel is the identity
+    label), so the kets are sqrt(Q(e)) U_e phi, one per label, a gather
+    from phi; beside a dense A1 channel they are sqrt(w_a2(b)) U_(L2 b) A_k
+    phi, one per Kraus pair. A dense A2 channel does not fold: its (L, d, d)
+    stack is returned beside the kets, and None when A2 sees the identity.
     """
-    if noise_a2 is not None and noise_a2.weyl_weights is None:
-        ops_a1 = np.eye(d, dtype=complex)[None] if noise_a1 is None else noise_a1.operator_stack
-        return ops_a1 @ phi, noise_a2.operator_stack
-    dense_a1 = noise_a1 is not None and noise_a1.weyl_weights is None
-    tables = (None if dense_a1 else noise_a1, noise_a2)
+    dense_a1, dense_a2 = (ch is not None and ch.weyl_weights is None for ch in (noise_a1, noise_a2))
+    tables = (None if dense_a1 else noise_a1, None if dense_a2 else noise_a2)
     keys = (None if ch is None else ch.weyl_weights.tobytes() for ch in tables)
     columns, coefficients = _folded_sender(d, *keys)
     base = noise_a1.operator_stack @ phi if dense_a1 else phi[None]
-    return (coefficients * base[:, columns]).reshape(-1, d), None
+    kets = (coefficients * base[:, columns]).reshape(-1, d)
+    return kets, noise_a2.operator_stack if dense_a2 else None
 
 
-def _outcome_map(
-    d: int,
-    phi: np.ndarray,
-    bell: np.ndarray,
-    kets_a1: np.ndarray,
-    ops_a2: np.ndarray | None,
-    convention: str,
-) -> list[OutcomeRecord]:
-    """The outcome table of ``enumerate_outcomes`` without the branch kets.
+def _receiver_monomial(d: int, bell: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every outcome's N_o = Phi^T R_o^T as (columns, coefficients), shape (d^2, d).
 
-    ``kets_a1`` holds the A1 kets A_k phi, shape (K, d), and ``ops_a2`` is
-    the (L, d, d) A2 operator stack, or None when A2 sees the identity.
-    ``phi`` gives the weight the probabilities must sum to.
+    N_o[B, cols[o, B]] = coefs[o, B], every entry of modulus 1/d: N_o sends
+    an A1 ket to the receiver when A2 sees the identity.
     """
     positions, phases = monomial_rows(d, convention)
-    if ops_a2 is None:
-        records = _sender_state_records(d, bell, kets_a1, positions, phases)
-    else:
-        records = _pair_records(d, bell, kets_a1, ops_a2, positions, phases)
-    # complete channels keep the weight the input carries, ||phi||^2
-    total = sum(rec.probability for rec in records)
-    if abs(total - float(np.vdot(phi, phi).real)) > ROUNDOFF_TOL:
-        raise RuntimeError("outcome probabilities do not sum to the branch weight")
-    return records
-
-
-def _sender_state_records(
-    d: int, bell: np.ndarray, kets_a1: np.ndarray, positions: np.ndarray, phases: np.ndarray
-) -> list[OutcomeRecord]:
-    """Every outcome's record when A2 sees the identity, as gathers of one sender state.
-
-    With Phi monomial too, outcome o sends the A1 ket a_k to the receiver
-    as V_(o,k) = N_o a_k, N_o = Phi^T R_o^T a monomial matrix with
-    N_o[B, cols[o, B]] = coefs[o, B], every entry of modulus 1/d. So pair k
-    weighs |a_k|^2 / d^2 in every outcome, p_o = sum_B |coefs[o, B]|^2
-    n[cols[o, B]] with n = sum_k |a_k|^2 per level, and the mixture over the
-    surviving pairs is N_o rho N_o^dag, rho = sum_alive a_k a_k^dag: a
-    gather of one d x d matrix per outcome.
-    """
     # row o's entry (a, b) sends A1 level a to A2 level b, and the Bell pair
     # sends A2 level b to receiver level out[o, j]
     a, b = np.divmod(positions, d)
@@ -330,22 +329,49 @@ def _sender_state_records(
     cols, coefs = np.empty_like(a), np.empty_like(phases)
     cols[o, out] = a
     coefs[o, out] = phases * pair[b, out]
+    return cols, coefs
 
-    level_weights = kets_a1.real**2 + kets_a1.imag**2
-    n = level_weights.sum(axis=0)
+
+def _sender_state(d: int, kets_a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sender kets above the weight floor and rho = sum a_k a_k^dag over them.
+
+    Pair k weighs |a_k|^2 / d^2 in every outcome, so the floor drops whole
+    sender kets, on both paths.
+    """
+    weights = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=1)
+    alive = kets_a1[weights / d**2 > WEIGHT_FLOOR]
+    return alive, alive.T @ alive.conj()
+
+
+def _check_probability_sum(total: float, phi: np.ndarray) -> None:
+    # complete channels keep the weight the input carries, ||phi||^2
+    if abs(total - float(np.vdot(phi, phi).real)) > ROUNDOFF_TOL:
+        raise RuntimeError("outcome probabilities do not sum to the branch weight")
+
+
+def _sender_state_records(
+    d: int, phi: np.ndarray, bell: np.ndarray, kets_a1: np.ndarray, convention: str
+) -> list[OutcomeRecord]:
+    """Every uncorrected outcome record when A2 sees the identity, as gathers of one sender state.
+
+    Outcome o sends the A1 ket a_k to the receiver as V_(o,k) = N_o a_k, so
+    p_o = sum_B |coefs[o, B]|^2 n[cols[o, B]] with n = sum_k |a_k|^2 per
+    level, and the mixture over the surviving pairs is N_o rho N_o^dag: a
+    gather of one d x d matrix per outcome.
+    """
+    cols, coefs = _receiver_monomial(d, bell, convention)
+    n = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=0)
     probs = (np.abs(coefs) ** 2 * n[cols]).sum(axis=1)
-    alive = (level_weights.sum(axis=1) / d**2 > WEIGHT_FLOOR).nonzero()[0]
-    alive_kets = kets_a1[alive]
-    rho = alive_kets.T @ alive_kets.conj()
+    alive, rho = _sender_state(d, kets_a1)
     records = []
     # a mixed record's d x d matrix bounds the chunk
     chunk = max(1, OUTCOME_CHUNK_BYTES // (d * d * np.dtype(complex).itemsize))
     for start in range(0, d * d, chunk):
         c, k = cols[start : start + chunk], coefs[start : start + chunk]
-        if alive.size == 0:
+        if len(alive) == 0:
             block = np.zeros(c.shape, dtype=complex)
-        elif alive.size == 1:
-            block = k * alive_kets[0][c]
+        elif len(alive) == 1:
+            block = k * alive[0][c]
             block /= np.sqrt((block.real**2 + block.imag**2).sum(axis=1))[:, None]
         else:
             block = rho[c[:, :, None], c[:, None, :]]
@@ -356,53 +382,95 @@ def _sender_state_records(
             i, m = divmod(j, d)
             p = float(probs[j])
             records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
+    _check_probability_sum(sum(rec.probability for rec in records), phi)
     return records
 
 
-def _pair_records(
+def _dense_records(
     d: int,
+    phi: np.ndarray,
     bell: np.ndarray,
     kets_a1: np.ndarray,
     ops_a2: np.ndarray,
-    positions: np.ndarray,
-    phases: np.ndarray,
+    convention: str,
+    correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
 ) -> list[OutcomeRecord]:
-    """Every outcome's record from the receiver ket of each Kraus pair.
+    """Every outcome's scored record under a dense A2 channel, with no outcome state built.
 
-    Pair (k, l) is ordered k * L + l, as the fan-out orders its branches.
+    ``correction`` is a ``CorrectionTable`` or a named scheme's (columns,
+    phases) table. Pair (k, l) reaches the receiver as C_l N_o a_k, so with
+    X_o = N_o rho N_o^dag, gathered from rho, p_o = tr(G X_o) and
+    p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi. A
+    scored record builds its corrected state on first read.
     """
-    # B_l Phi laid out (A2, (l, B)): x @ b_out is V for every l at once
-    b_out = (ops_a2 @ bell.reshape(d, d)).transpose(1, 0, 2).reshape(d, -1)
-    n_a1, pairs = kets_a1.shape[0], kets_a1.shape[0] * len(ops_a2)
-    # the receiver kets are a chunk's largest array: pairs * d amplitudes per outcome
-    chunk = max(1, OUTCOME_CHUNK_BYTES // (pairs * d * np.dtype(complex).itemsize))
+    pair = bell.reshape(d, d)
+    c_stack = d * (pair.T @ ops_a2.transpose(0, 2, 1) @ pair.conj())
+    gram = (c_stack.conj().transpose(0, 2, 1) @ c_stack).sum(axis=0)
+    # v for every l at once is w @ c_adj, laid out (l, j)
+    c_adj = c_stack.conj().transpose(1, 0, 2).reshape(d, -1)
+    n_ops = len(c_stack)
+    cols, coefs = _receiver_monomial(d, bell, convention)
+    alive, rho = _sender_state(d, kets_a1)
 
-    records = []
+    probs, weighted = np.empty(d * d), np.empty(d * d)
+    # a chunk's largest arrays are X, (n, d, d), and v and X v, (n, d, L)
+    chunk = max(1, OUTCOME_CHUNK_BYTES // (d * max(d, n_ops) * np.dtype(complex).itemsize))
     for start in range(0, d * d, chunk):
-        a, b = np.divmod(positions[start : start + chunk], d)
-        n = a.shape[0]
-        # R_o is monomial, so x_(o,k) = R_o^T A_k phi is a gather and a scale:
-        # entry (a, b) of R_o sends (A_k phi)[a] times its phase to position b
-        x = np.empty((n, n_a1, d), dtype=complex)
-        x[np.arange(n)[:, None], :, b] = kets_a1.T[a] * phases[start : start + n, :, None]
-        kets = (x.reshape(-1, d) @ b_out).reshape(n, pairs, d)
-        flat = kets.view(np.float64)
-        weights = np.einsum("opj,opj->op", flat, flat)
-        probs = weights.sum(axis=1)
-        # a mixed record sums k k^dag over the pairs above the weight floor
-        kets[weights <= WEIGHT_FLOOR] = 0.0
-        for j in range(n):
-            i, m = divmod(start + j, d)
-            p = float(probs[j])
-            alive = (weights[j] > WEIGHT_FLOOR).nonzero()[0]
-            if alive.size == 0:
-                state = np.zeros(d, dtype=complex)
-            elif alive.size == 1:
-                state = kets[j, alive[0]] / np.sqrt(weights[j, alive[0]])
-            else:
-                state = (kets[j].T @ kets[j].conj()) / p
-            records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
+        span = slice(start, start + chunk)
+        c, k = cols[span], coefs[span]
+        n = len(c)
+        x = rho[c[:, :, None], c[:, None, :]]
+        x *= k[:, :, None]
+        x *= k[:, None, :].conj()
+        probs[span] = (x.reshape(n, -1) @ gram.T.reshape(-1)).real
+        if isinstance(correction, CorrectionTable):
+            u = np.stack([correction.entries[divmod(o, d)] for o in range(start, start + n)])
+            w = u.conj().transpose(0, 2, 1) @ phi
+        else:
+            # u_o^dag phi for a monomial u_o: phi_k times conj(phases_k) lands at column c_k
+            columns, phases = correction
+            w = np.empty((n, d), dtype=complex)
+            np.put_along_axis(w, columns[span], phases[span].conj() * phi, axis=1)
+        v = (w @ c_adj).reshape(n, n_ops, d).transpose(0, 2, 1)
+        weighted[span] = np.einsum("ojl,ojl->o", v.conj(), x @ v).real
+    _check_probability_sum(float(probs.sum()), phi)
+
+    scored = probs > WEIGHT_FLOOR
+    fid2 = np.divide(weighted, probs, out=np.zeros(d * d), where=scored)
+    fids = np.sqrt(np.clip(fid2, 0.0, 1.0))
+    # one surviving sender ket through a one-operator stack leaves a ket
+    sender = alive[0] if len(alive) == 1 and n_ops == 1 else rho
+    records = []
+    for o in range(d * d):
+        i, m = divmod(o, d)
+        p = float(probs[o])
+        if not scored[o]:
+            records.append(OutcomeRecord(i, m, p, np.zeros(d, dtype=complex)))
+            continue
+        u_o = _outcome_unitary(correction, d, o)
+        state = partial(_dense_state, c_stack, sender, (cols[o], coefs[o]), p, u_o)
+        records.append(_LazyRecord.scored(i, m, p, float(fids[o]), state))
     return records
+
+
+def _dense_state(
+    c_stack: np.ndarray,
+    sender: np.ndarray,
+    n_o: tuple[np.ndarray, np.ndarray],
+    probability: float,
+    u_o: np.ndarray | tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """One dense-A2 outcome's corrected state u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag.
+
+    X_o = N_o rho N_o^dag. ``sender`` is rho, or the one surviving sender ket
+    a beside a one-operator stack, which gives the ket u_o C N_o a / sqrt(p_o).
+    """
+    s = _apply_monomial(*n_o, sender)
+    if s.ndim == 1:
+        s = c_stack[0] @ s / np.sqrt(probability)
+    else:
+        s = (c_stack @ s @ c_stack.conj().transpose(0, 2, 1)).sum(axis=0) / probability
+    return _apply_unitary(u_o, s)
 
 
 def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) -> np.ndarray:
@@ -515,7 +583,24 @@ def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) 
     """
     if state.ndim == 1:
         return phases * state[columns]
-    return phases[:, None] * state[np.ix_(columns, columns)] * phases.conj()
+    return phases[:, None] * state[columns[:, None], columns] * phases.conj()
+
+
+def _outcome_unitary(
+    correction: CorrectionTable | tuple[np.ndarray, np.ndarray], d: int, o: int
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Outcome o's correction: a table's dense unitary, or a scheme's (columns, phases) row."""
+    if isinstance(correction, CorrectionTable):
+        return correction.entries[divmod(o, d)]
+    columns, phases = correction
+    return columns[o], phases[o]
+
+
+def _apply_unitary(u: np.ndarray | tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
+    """u psi or u rho u^dag, u a dense matrix or a monomial's (columns, phases)."""
+    if isinstance(u, tuple):
+        return _apply_monomial(*u, state)
+    return u @ state if state.ndim == 1 else u @ state @ u.conj().T
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -546,29 +631,28 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
                 f"{target} channel has dimension {channel.d}, the run has dimension {d}"
             )
 
-    records = _outcome_map(
-        d, phi, bell_state(d, config.bell_label), *_sender_noise(d, phi, *noise), config.convention
-    )
+    bell = bell_state(d, config.bell_label)
+    kets_a1, ops_a2 = _sender_noise(d, phi, *noise)
+    correction = config.correction
+    if not isinstance(correction, CorrectionTable):
+        correction = _scheme_table(d, correction, config.convention)
+    if ops_a2 is None:
+        records = _sender_state_records(d, phi, bell, kets_a1, config.convention)
+        for k, rec in enumerate(records):
+            if rec.probability <= WEIGHT_FLOOR:
+                continue
+            u_o = _outcome_unitary(correction, d, rec.i * d + rec.m)
+            state = _apply_unitary(u_o, rec.receiver_state)
+            records[k] = OutcomeRecord(rec.i, rec.m, rec.probability, state, pure_fidelity(phi, state))
+    else:
+        records = _dense_records(d, phi, bell, kets_a1, ops_a2, config.convention, correction)
 
-    table = config.correction if isinstance(config.correction, CorrectionTable) else None
-    if table is None:
-        columns, phases = _scheme_table(d, config.correction, config.convention)
     avg = 0.0
     min_fid = 1.0
-    for k, rec in enumerate(records):
-        if rec.probability <= WEIGHT_FLOOR:
-            continue
-        s = rec.receiver_state
-        if table is None:
-            o = rec.i * d + rec.m
-            state = _apply_monomial(columns[o], phases[o], s)
-        else:
-            u = table.entries[(rec.i, rec.m)]
-            state = u @ s if s.ndim == 1 else u @ s @ u.conj().T
-        fid = pure_fidelity(phi, state)
-        records[k] = OutcomeRecord(rec.i, rec.m, rec.probability, state, fid)
-        avg += rec.probability * fid
-        min_fid = min(min_fid, fid)
+    for rec in records:
+        if rec.fidelity is not None:
+            avg += rec.probability * rec.fidelity
+            min_fid = min(min_fid, rec.fidelity)
 
     return ProtocolResult(
         config=config,

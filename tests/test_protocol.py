@@ -689,15 +689,16 @@ class TestOutcomeMapEngine:
             noise_a1=a1, noise_a2=a2, correction=scheme,
         )
         res = run_protocol(config)
-        # the same channel as dense operators takes the Kraus-pair path, unfolded;
-        # it and the reference drop pairs at the weight floor one by one
+        # the same channel as dense operators, unfolded; a dense a2 stack mixes
+        # every operator, and the fold drops whole labels, so near the floor
+        # either may keep a mixture where the reference, which drops pairs one
+        # by one, keeps a ket (test_fold_floor_is_per_label)
         dense = KrausChannel(d=d, operators=ch.operators)
         unfolded = replace(config, **{f"noise_{t}": dense for t in ("a1", "a2") if t in targets})
-        pair_records = run_protocol(unfolded).records
-        assert_records_match(pair_records, branch_form_run(config))
-        # the fold drops whole labels, so near the floor it may keep a
-        # mixture where the pair path keeps a ket (test_fold_floor_is_per_label)
-        assert_records_match(res.records, pair_records, same_kind=False)
+        dense_records = run_protocol(unfolded).records
+        reference = branch_form_run(config)
+        assert_records_match(dense_records, reference, same_kind=False)
+        assert_records_match(res.records, reference, same_kind=False)
 
         # the density-matrix reference evolves d^3 x d^3 matrices once per Kraus
         # pair; it runs up to the cost of Weyl noise on both qudits at d = 4
@@ -742,7 +743,8 @@ class TestOutcomeMapEngine:
 
     @pytest.mark.parametrize("budget", [1, 5 * 12 * 4 * 16])
     def test_outcome_chunks_do_not_change_records(self, monkeypatch, budget):
-        # one outcome per chunk, then 5 outcomes (12 pairs of 4 amplitudes) per chunk
+        # one outcome per chunk, then 15: a chunk's largest array holds
+        # 4 x 4 amplitudes per outcome
         rng = np.random.default_rng(11)
         d = 4
         config = ProtocolConfig(
@@ -832,7 +834,7 @@ class TestWeylFold:
         ids=[str(d) for d in range(2, 6)] + ["3-qutrit-alt"],
     )
     def test_a2_error_acts_as_l2_label_on_a1(self, d, convention):
-        # exact single-operator channels on the Kraus-pair path, no fold involved
+        # exact single-operator channels, the a2 one on the dense path, no fold involved
         phi = random_pure_state(d, d)
         for b in np.ndindex(d, d):
             on_a2 = KrausChannel(d=d, operators=(weyl(d, *b),))
@@ -866,20 +868,22 @@ class TestWeylFold:
 
     def test_fold_floor_is_per_label(self):
         # at p = 1e-23 a Kraus pair with one flip weighs about p / 16 <
-        # WEIGHT_FLOOR in every outcome, so the pair path keeps only the
+        # WEIGHT_FLOOR in every outcome, so the reference keeps only the
         # no-flip pair, a ket; the fold adds the two one-flip pairs of each
         # label e, (e, I) and (I, L2^-1 e), to p / 8, above it, so it mixes
         d, p = 2, 1e-23
         ch = crosstalk_channel(d, p, WEYL)
         config = ProtocolConfig(d=d, input_state=random_pure_state(d, 3), noise_a1=ch, noise_a2=ch)
         folded = run_protocol(config).records
-        dense = KrausChannel(d=d, operators=ch.operators)
-        pair_path = run_protocol(replace(config, noise_a1=dense, noise_a2=dense)).records
         reference = branch_form_run(config)
         assert [r.receiver_state.ndim for r in folded] == [2] * d * d
-        assert [r.receiver_state.ndim for r in pair_path] == [1] * d * d
-        assert_records_match(pair_path, reference)
-        assert_records_match(folded, pair_path, same_kind=False)
+        assert [r.receiver_state.ndim for r in reference] == [1] * d * d
+        assert_records_match(folded, reference, same_kind=False)
+        # as dense operators, the a2 stack of four operators mixes too
+        dense = KrausChannel(d=d, operators=ch.operators)
+        unfolded = run_protocol(replace(config, noise_a1=dense, noise_a2=dense)).records
+        assert [r.receiver_state.ndim for r in unfolded] == [2] * d * d
+        assert_records_match(unfolded, reference, same_kind=False)
 
     def test_p_zero_keeps_one_label_and_kets(self):
         d = 8
@@ -925,6 +929,15 @@ class TestWeylFold:
             assert_records_match(res.records, branch_form_run(config))
 
 
+def sender_reference(d, bell, kets, convention):
+    """Uncorrected records of the sender kets a_k through the reference, pair by pair.
+
+    Each ket enters as the weight-1 branch a_k (x) bell, so ``enumerate_outcomes``
+    applies the weight floor to each Kraus pair.
+    """
+    return enumerate_outcomes(d, [(1.0, compose_initial(a, bell)) for a in kets], convention)
+
+
 class TestSenderStatePath:
     """When A2 sees the identity, every record is a gather of one sender state."""
 
@@ -954,21 +967,22 @@ class TestSenderStatePath:
         phi = random_pure_state(d, seed)
         kets, ops_a2 = protocol._sender_noise(d, phi, a1, a2)
         assert ops_a2 is None
-        # the same kets beside an explicit identity stack take the pair path
         bell = bell_state(d, label)
-        got = protocol._outcome_map(d, phi, bell, kets, None, convention)
-        want = protocol._outcome_map(d, phi, bell, kets, np.eye(d, dtype=complex)[None], convention)
-        assert_records_match(got, want)
+        got = protocol._sender_state_records(d, phi, bell, kets, convention)
+        assert_records_match(got, sender_reference(d, bell, kets, convention))
 
         if a2_label and a1_form != "label":
             # a label-form A2 channel beside a dense A1 one folds onto A1 pair
-            # by pair; as dense operators it takes the pair path
+            # by pair; as dense operators it moves to the receiver, where its
+            # stack mixes every operator, so near the floor the kinds may differ
             config = ProtocolConfig(
                 d=d, input_state=phi, bell_label=label, convention=convention,
                 noise_a1=a1, noise_a2=a2,
             )
             dense = replace(config, noise_a2=KrausChannel(d=d, operators=ch.operators))
-            assert_records_match(run_protocol(config).records, run_protocol(dense).records)
+            assert_records_match(
+                run_protocol(config).records, run_protocol(dense).records, same_kind=False
+            )
 
     @pytest.mark.parametrize("p, kind", [(1.0e-23, 1), (2.0e-23, 2)])
     def test_weight_floor_per_sender_ket(self, p, kind):
@@ -979,10 +993,9 @@ class TestSenderStatePath:
         phi = random_pure_state(d, 3)
         kets, _ = protocol._sender_noise(d, phi, ch, None)
         bell = bell_state(d, (0, 0))
-        got = protocol._outcome_map(d, phi, bell, kets, None, GENERAL)
-        want = protocol._outcome_map(d, phi, bell, kets, np.eye(d, dtype=complex)[None], GENERAL)
+        got = protocol._sender_state_records(d, phi, bell, kets, GENERAL)
         assert [r.receiver_state.ndim for r in got] == [kind] * d * d
-        assert_records_match(got, want)
+        assert_records_match(got, sender_reference(d, bell, kets, GENERAL))
 
     @pytest.mark.parametrize(
         "a1, a2, pair_path",
@@ -993,25 +1006,85 @@ class TestSenderStatePath:
         ],
     )
     def test_only_a_dense_a2_channel_takes_the_pair_path(self, monkeypatch, a1, a2, pair_path):
+        # a dense a2 channel's Kraus pairs are summed at the receiver, by
+        # _dense_records; every other run takes the sender-state path
         d = 3
         channels = {
             None: None,
             "label": crosstalk_channel(d, 0.3, WEYL),
             "dense": isometry_channel(d, 2, np.random.default_rng(3)),
         }
-        stacks = []
-        original = protocol._outcome_map
+        paths = []
+        for name in ("_sender_state_records", "_dense_records"):
+            original = getattr(protocol, name)
 
-        def recorded(d, phi, bell, kets_a1, ops_a2, convention):
-            stacks.append(ops_a2)
-            return original(d, phi, bell, kets_a1, ops_a2, convention)
+            def recorded(*args, _name=name, _original=original):
+                paths.append(_name)
+                return _original(*args)
 
-        monkeypatch.setattr(protocol, "_outcome_map", recorded)
+            monkeypatch.setattr(protocol, name, recorded)
         config = ProtocolConfig(
             d=d, input_state=random_pure_state(d, 3), noise_a1=channels[a1], noise_a2=channels[a2]
         )
         records = run_protocol(config).records
-        assert len(stacks) == 1 and (stacks[0] is not None) == pair_path
+        assert paths == ["_dense_records" if pair_path else "_sender_state_records"]
+        assert_records_match(records, branch_form_run(config))
+
+
+class TestDensePath:
+    """A dense a2 channel moves to the receiver; records are scored without their states."""
+
+    def test_states_are_built_on_read(self, monkeypatch):
+        d = 32
+        calls = []
+        original = protocol._dense_state
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(protocol, "_dense_state", counted)
+        rng = np.random.default_rng(32)
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, 32),
+            noise_a1=isometry_channel(d, 4, rng), noise_a2=isometry_channel(d, 4, rng),
+        )
+        res = run_protocol(config)
+        assert calls == []
+        assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
+        rec = res.records[d + 5]
+        state = rec.receiver_state
+        assert len(calls) == 1
+        assert rec.receiver_state is state
+        assert replace(rec, fidelity=0.5).receiver_state is state
+        assert len(calls) == 1
+        # the state it builds is the one the record was scored on
+        assert abs(np.trace(state) - 1.0) < 1e-12
+        assert abs(pure_fidelity(config.input_state, state) - rec.fidelity) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_label_a1_beside_dense_a2_builds_no_a1_stack(self, d, variant):
+        # its kets are the fold's gathers; the same channel as dense operators
+        # gives the same records
+        label_a1 = crosstalk_channel(d, 0.37, variant)
+        a2 = isometry_channel(d, 3, np.random.default_rng(d))
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, d), bell_label=(1, d - 1),
+            noise_a1=label_a1, noise_a2=a2,
+        )
+        got = run_protocol(config).records
+        assert "operator_stack" not in vars(label_a1)
+        dense_a1 = KrausChannel(d=d, operators=label_a1.operators)
+        assert_records_match(got, run_protocol(replace(config, noise_a1=dense_a1)).records)
+        assert_records_match(got, branch_form_run(config))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_sender_ket_through_one_operator_is_a_ket(self, d):
+        u = KrausChannel(d=d, operators=(random_unitary(np.random.default_rng(d), d),))
+        config = ProtocolConfig(d=d, input_state=random_pure_state(d, d), noise_a2=u)
+        records = run_protocol(config).records
+        assert {r.receiver_state.ndim for r in records} == {1}
         assert_records_match(records, branch_form_run(config))
 
 
@@ -1126,9 +1199,8 @@ class TestMonomialCorrection:
         # the outcome map's own uncorrected records
         table_config = replace(config, correction=CorrectionTable(d=d, entries=dense))
         table_records = run_protocol(table_config).records
-        uncorrected = protocol._outcome_map(
-            d, phi, bell_state(d, (0, 0)), *protocol._sender_noise(d, phi, noise, None), convention
-        )
+        kets, _ = protocol._sender_noise(d, phi, noise, None)
+        uncorrected = protocol._sender_state_records(d, phi, bell_state(d, (0, 0)), kets, convention)
         for got, want in zip(table_records, dense_scoring(table_config, uncorrected), strict=True):
             assert (got.i, got.m, got.probability, got.fidelity) == (
                 want.i,
