@@ -64,7 +64,9 @@ correction:
 
 These score every outcome without its state; a record builds
 u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag on its first read. That record is
-a ket when one sender ket survives and the stack has one operator.
+a ket when one sender ket survives and the stack has one operator. p_o is
+a signed sum, so an impossible outcome rounds to about 1e-17, not to zero:
+an outcome within the sum's rounding bound of zero stays unscored.
 
 Outcomes are processed in chunks, and OUTCOME_CHUNK_BYTES bounds every array
 a chunk allocates; only a single outcome whose own arrays exceed it goes
@@ -423,20 +425,27 @@ def _dense_records(
         x *= k[:, :, None]
         x *= k[:, None, :].conj()
         probs[span] = (x.reshape(n, -1) @ gram.T.reshape(-1)).real
-        if isinstance(correction, CorrectionTable):
-            u = np.stack([correction.entries[divmod(o, d)] for o in range(start, start + n)])
-            w = u.conj().transpose(0, 2, 1) @ phi
-        else:
-            # u_o^dag phi for a monomial u_o: phi_k times conj(phases_k) lands at column c_k
-            columns, phases = correction
-            w = np.empty((n, d), dtype=complex)
-            np.put_along_axis(w, columns[span], phases[span].conj() * phi, axis=1)
+        w = _apply_unitary(_outcome_unitary(correction, d, span), phi, adjoint=True)
         v = (w @ c_adj).reshape(n, n_ops, d).transpose(0, 2, 1)
         weighted[span] = np.einsum("ojl,ojl->o", v.conj(), x @ v).real
+    # the weights |V|^2 this sum stands for are never negative
+    np.maximum(probs, 0.0, out=probs)
     _check_probability_sum(float(probs.sum()), phi)
 
-    scored = probs > WEIGHT_FLOOR
+    # p_o sums the d^2 products G_kj X_jk, over entries of rho and G that are
+    # sums of K and L d products. G and X_o are positive, so every such sum
+    # of moduli is at most tr(G) tr(X_o) = tr(G) tr(rho) / d^2, as
+    # N_o^dag N_o = I / d^2, and rounding moves p_o by at most
+    # (d^2 + K + L d) eps times that; eps, twice the unit round-off, also
+    # covers the phases and gathers. An outcome within it of zero carries no
+    # state the arithmetic resolves: it stays unscored.
+    terms = d * d + len(alive) + n_ops * d
+    roundoff = terms * np.finfo(float).eps * np.trace(gram).real * np.trace(rho).real / d**2
+    scored = probs > max(WEIGHT_FLOOR, roundoff)
+    # F_o^2 = <phi|sigma_o|phi>, the overlap pure_fidelity takes
     fid2 = np.divide(weighted, probs, out=np.zeros(d * d), where=scored)
+    if fid2.min() < -ROUNDOFF_TOL:
+        raise ValueError(f"<phi|sigma|phi> = {fid2.min():.3e} is negative beyond round-off")
     fids = np.sqrt(np.clip(fid2, 0.0, 1.0))
     # one surviving sender ket through a one-operator stack leaves a ket
     sender = alive[0] if len(alive) == 1 and n_ops == 1 else rho
@@ -587,17 +596,37 @@ def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) 
 
 
 def _outcome_unitary(
-    correction: CorrectionTable | tuple[np.ndarray, np.ndarray], d: int, o: int
+    correction: CorrectionTable | tuple[np.ndarray, np.ndarray], d: int, o: int | slice
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Outcome o's correction: a table's dense unitary, or a scheme's (columns, phases) row."""
+    """Outcome o's correction: a table's dense unitary, or a scheme's (columns, phases) row.
+
+    A slice of outcomes stacks their corrections along a leading axis. A
+    table's entries are copied, so a record that builds its state on read
+    ignores later edits to the table; a scheme's rows are read-only.
+    """
     if isinstance(correction, CorrectionTable):
-        return correction.entries[divmod(o, d)]
+        if isinstance(o, slice):
+            return np.stack([correction.entries[divmod(j, d)] for j in range(d * d)[o]])
+        return correction.entries[divmod(o, d)].copy()
     columns, phases = correction
     return columns[o], phases[o]
 
 
-def _apply_unitary(u: np.ndarray | tuple[np.ndarray, np.ndarray], state: np.ndarray) -> np.ndarray:
-    """u psi or u rho u^dag, u a dense matrix or a monomial's (columns, phases)."""
+def _apply_unitary(
+    u: np.ndarray | tuple[np.ndarray, np.ndarray], state: np.ndarray, adjoint: bool = False
+) -> np.ndarray:
+    """u psi or u rho u^dag, u a dense matrix or a monomial's (columns, phases).
+
+    With ``adjoint``, u^dag psi for a ket psi, for one u or a stack of them.
+    """
+    if adjoint:
+        if not isinstance(u, tuple):
+            return u.conj().swapaxes(-1, -2) @ state
+        # a monomial's u^dag sends psi_k, times conj(phases_k), to column c_k
+        columns, phases = u
+        out = np.empty(columns.shape, dtype=complex)
+        np.put_along_axis(out, columns, phases.conj() * state, axis=-1)
+        return out
     if isinstance(u, tuple):
         return _apply_monomial(*u, state)
     return u @ state if state.ndim == 1 else u @ state @ u.conj().T

@@ -1079,6 +1079,39 @@ class TestDensePath:
         assert_records_match(got, run_protocol(replace(config, noise_a1=dense_a1)).records)
         assert_records_match(got, branch_form_run(config))
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 8])
+    def test_impossible_outcomes_stay_unscored(self, d):
+        # a2 reset to |+>: G is not diagonal in the receiver basis, so each
+        # impossible outcome's p = tr(G X_o) is a signed sum that rounds to
+        # about +-1e-17, not to zero
+        plus = uniform_state(d)
+        reset = KrausChannel(d=d, operators=tuple(np.outer(plus, np.eye(d)[k]) + 0j for k in range(d)))
+        config = ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=reset)
+        res = run_protocol(config)
+        reference = branch_form_run(config)
+        assert sum(r.fidelity is None for r in reference) == d * d - d
+        assert_records_match(res.records, reference)
+        assert min(r.probability for r in res.records) >= 0.0
+        assert abs(res.min_outcome_fidelity - 1 / np.sqrt(d)) < 1e-12
+
+    def test_state_read_later_ignores_table_edits(self):
+        # a record builds its state on read, from the table as it was at the run
+        d = 3
+        table = CorrectionTable(
+            d=d,
+            entries={(i, m): derived_exact_correction(d, i, m) for i in range(d) for m in range(d)},
+        )
+        rng = np.random.default_rng(3)
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, 3), noise_a2=isometry_channel(d, 2, rng),
+            correction=table,
+        )
+        records = run_protocol(config).records
+        for u in table.entries.values():
+            u[...] = np.eye(d)
+        for rec in records:
+            assert abs(pure_fidelity(config.input_state, rec.receiver_state) - rec.fidelity) < 1e-12
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_one_sender_ket_through_one_operator_is_a_ket(self, d):
         u = KrausChannel(d=d, operators=(random_unitary(np.random.default_rng(d), d),))
