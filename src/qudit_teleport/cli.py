@@ -24,7 +24,7 @@ import numpy as np
 
 from .channels import INDEPENDENT, VARIANTS, crosstalk_channel
 from .linalg import EXACT_TOL, GRID_TOL
-from .protocol import DERIVED_EXACT, PAPER_WEYL, ProtocolConfig, run_protocol
+from .protocol import DERIVED_EXACT, PAPER_WEYL, ProtocolConfig, _fold_weyl_weights, run_protocol
 from .states import load_state, random_pure_state, uniform_state
 
 __all__ = [
@@ -405,28 +405,26 @@ def _format_bytes(n: int) -> str:
 
 
 def _large_dim_warning(config: SweepConfig) -> str | None:
-    """The stderr warning for dims above RUNTIME_WARN_DIM, with the run's largest array.
+    """The stderr warning for dims above RUNTIME_WARN_DIM, with the run's largest arrays.
 
-    That is the d^2 outcome states the run returns, at the largest d and p:
-    density matrices when the noise has more than one Weyl label, kets
-    otherwise; counted from the channel's label table, no operator built.
-    One outcome's receiver kets are never larger: the sender's two tables
-    fold into at most d^2 labels, so they hold at most d^2 kets of d
-    amplitudes.
+    At the largest d and p, those are the sender kets the noise folds into,
+    one per label of the folded table Q, counted from the channel's label
+    table with no operator built, and the (d^2, d) outcome tables. The run
+    builds no outcome state; no other array grows with d^3 or the noise.
     """
     big = [d for d in config.dims if d > RUNTIME_WARN_DIM]
     if not big:
         return None
     d, p = max(big), max(config.p_grid)
-    if np.count_nonzero(crosstalk_channel(d, p, config.noise).weyl_weights) > 1:
-        states, shape, amplitudes = "density matrices", f"{d} x {d}", d * d
-    else:
-        states, shape, amplitudes = "kets", f"{d}", d
-    size = d * d * amplitudes * np.dtype(complex).itemsize
+    weights = crosstalk_channel(d, p, config.noise).weyl_weights
+    tables = (weights if t in config.noise_targets else None for t in ("a1", "a2"))
+    kets = np.count_nonzero(_fold_weyl_weights(d, *tables))
+    amplitude = np.dtype(complex).itemsize
     return (
         f"warning: exact enumeration scales steeply; dims {big} may take a long time; "
-        f"at d = {d}, p = {p:g} the run returns {d * d} outcome {states} of {shape} "
-        f"amplitudes, {_format_bytes(size)}"
+        f"at d = {d}, p = {p:g} the run holds {kets} folded sender {'ket' if kets == 1 else 'kets'} "
+        f"of {d} amplitudes, {_format_bytes(kets * d * amplitude)}, beside its "
+        f"({d * d}, {d}) outcome tables, {_format_bytes(d**3 * amplitude)} each"
     )
 
 

@@ -30,11 +30,14 @@ entries, one per row and column. Both run paths read the rows as
 ``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
 and the named schemes are tabled the same way, as (column, phase) per row of
 each outcome's unitary u, the Weyl ones by ``channels.weyl_monomial``.
-Scoring applies u as gathers, u psi = phases * psi[columns] and
-u rho u^dag = (phases phases^dag) * rho[columns][:, columns], with no d x d
-unitary and no matrix product; only a ``CorrectionTable``, whose entries
-may be any unitaries, is applied as dense products. No run path builds a
-d^4 array: the dense rows are 268 MB at d = 64 and 4.3 GB at d = 128.
+Scoring applies u^dag to phi as a scatter, (u^dag phi)_(c_k) =
+conj(phases_k) phi_k; a state read from a record is corrected by gathers,
+u psi = phases * psi[columns] and
+u rho u^dag = (phases phases^dag) * rho[columns][:, columns]. Neither builds
+a d x d unitary or runs a matrix product; only a ``CorrectionTable``, whose
+entries may be any unitaries, is applied as dense products. No run path
+builds a d^4 array: the dense rows are 268 MB at d = 64 and 4.3 GB at
+d = 128.
 
 Engine
 ------
@@ -47,31 +50,42 @@ matrix per outcome, every entry of modulus 1/d (``_receiver_monomial``),
 and rho = sum a_k a_k^dag runs over the sender kets whose weight
 |a_k|^2 / d^2 is above the floor. No d^3-amplitude branch ket is built.
 
-When A2 sees the identity (``_sender_state_records``), V_(o,k) = N_o a_k:
-pair k weighs |a_k|^2 / d^2 in every outcome, and the mixture is
-N_o rho N_o^dag, a gather of rho, O(d^2) work per outcome where the pairs
-cost O(K d^2). ``run_protocol`` then corrects and scores each record.
+Both paths score every outcome by one formula: with u_o the correction and
+sigma_o the corrected state, p_o F_o^2 = p_o <phi|sigma_o|phi> is a quadratic
+form of rho, so no outcome state is built. Each path hands p_o, p_o F_o^2
+and the outcomes it leaves unscored to ``_scored_records``, which makes the
+records, the average and the minimum. A record builds its state on first
+read.
 
-A dense A2 channel moves to the receiver (``_dense_records``; teleportation
+When A2 sees the identity (``_sender_state_scores``), V_(o,k) = N_o a_k:
+pair k weighs |a_k|^2 / d^2 in every outcome, and the mixture is
+N_o rho N_o^dag. So p_o = sum_B |N_o[B, c]|^2 n_c, n the sender kets'
+weight per level, and p_o F_o^2 = z_o^dag rho z_o with
+z_o = N_o^dag u_o^dag phi, two scatters of phi. A chunk of outcomes costs
+one (n, d) @ (d, d) product. A state read is u_o N_o rho N_o^dag u_o^dag / p_o,
+a gather of rho (``_gathered_state``); it is a ket when one sender ket
+survives.
+
+A dense A2 channel moves to the receiver (``_dense_scores``; teleportation
 as a channel on the receiver, Bowen and Bose, PRL 87, 267901, 2001). Since
 sqrt(d) Phi^T is unitary, Phi^T B_l^T = C_l Phi^T with
 C_l = d Phi^T B_l^T conj(Phi), so the unnormalized state is
-sum_l C_l X_o C_l^dag with X_o = N_o rho N_o^dag, and with u_o the
-correction:
+sum_l C_l X_o C_l^dag with X_o = N_o rho N_o^dag, and:
 
 * p_o = tr(G X_o), G = sum_l C_l^dag C_l;
 * p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi.
 
-These score every outcome without its state; a record builds
-u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag on its first read. That record is
-a ket when one sender ket survives and the stack has one operator. p_o is
-a signed sum, so an impossible outcome rounds to about 1e-17, not to zero:
-an outcome within the sum's rounding bound of zero stays unscored.
+A state read is u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag (``_dense_state``).
+It is a ket when one sender ket survives and the stack has one operator.
+p_o is a signed sum here, so an impossible outcome rounds to about 1e-17,
+not to zero: an outcome within the sum's rounding bound of zero stays
+unscored.
 
 Outcomes are processed in chunks, and OUTCOME_CHUNK_BYTES bounds every array
 a chunk allocates; only a single outcome whose own arrays exceed it goes
 over. The probabilities must sum to the weight the run carries (||phi||^2
-for the input phi) within 1e-10.
+for the input phi) within 1e-10. An F_o^2 below zero beyond round-off is a
+broken invariant, not a bad input, and raises RuntimeError.
 
 Weyl fold
 ---------
@@ -121,7 +135,8 @@ from .channels import (
     weyl,
     weyl_monomial,
 )
-from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR, pure_fidelity
+from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR
+from .linalg import pure_fidelity  # not called here; perfbench's tracer wraps it under this name
 from .measurement import GENERAL, measurement_rows, monomial_rows
 from .states import bell_state, is_normalized
 
@@ -174,9 +189,9 @@ class OutcomeRecord:
 
     ``receiver_state`` is a ket when a single noise branch survives and a
     density matrix otherwise. ``fidelity`` is None until a correction has
-    been applied, and then ``receiver_state`` is the corrected state. A
-    run under a dense A2 channel scores its records without their states
-    and builds each ``receiver_state`` on its first read.
+    been applied, and then ``receiver_state`` is the corrected state.
+    ``run_protocol`` scores its records without their states: each builds
+    ``receiver_state`` on its first read, from the run's sender state.
     """
 
     i: int
@@ -351,44 +366,44 @@ def _check_probability_sum(total: float, phi: np.ndarray) -> None:
         raise RuntimeError("outcome probabilities do not sum to the branch weight")
 
 
-def _sender_state_records(
-    d: int, phi: np.ndarray, bell: np.ndarray, kets_a1: np.ndarray, convention: str
-) -> list[OutcomeRecord]:
-    """Every uncorrected outcome record when A2 sees the identity, as gathers of one sender state.
+def _sender_state_scores(
+    d: int,
+    phi: np.ndarray,
+    bell: np.ndarray,
+    kets_a1: np.ndarray,
+    convention: str,
+    correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, partial]:
+    """Every outcome's p_o and p_o F_o^2 when A2 sees the identity, with no outcome state built.
 
-    Outcome o sends the A1 ket a_k to the receiver as V_(o,k) = N_o a_k, so
+    Outcome o sends the A1 ket a_k to the receiver as N_o a_k, so
     p_o = sum_B |coefs[o, B]|^2 n[cols[o, B]] with n = sum_k |a_k|^2 per
-    level, and the mixture over the surviving pairs is N_o rho N_o^dag: a
-    gather of one d x d matrix per outcome.
+    level, and the corrected mixture is u_o N_o rho N_o^dag u_o^dag / p_o,
+    so p_o F_o^2 = z_o^dag rho z_o with z_o = N_o^dag u_o^dag phi. Returns
+    the arguments of ``_scored_records`` after ``correction``.
     """
     cols, coefs = _receiver_monomial(d, bell, convention)
     n = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=0)
     probs = (np.abs(coefs) ** 2 * n[cols]).sum(axis=1)
+    _check_probability_sum(float(probs.sum()), phi)
     alive, rho = _sender_state(d, kets_a1)
-    records = []
-    # a mixed record's d x d matrix bounds the chunk
-    chunk = max(1, OUTCOME_CHUNK_BYTES // (d * d * np.dtype(complex).itemsize))
+
+    weighted = np.empty(d * d)
+    # a chunk's largest arrays are z and z^dag rho, (n, d), or a table's (n, d, d) unitaries
+    per_outcome = d * (d if isinstance(correction, CorrectionTable) else 1)
+    chunk = max(1, OUTCOME_CHUNK_BYTES // (per_outcome * np.dtype(complex).itemsize))
     for start in range(0, d * d, chunk):
-        c, k = cols[start : start + chunk], coefs[start : start + chunk]
-        if len(alive) == 0:
-            block = np.zeros(c.shape, dtype=complex)
-        elif len(alive) == 1:
-            block = k * alive[0][c]
-            block /= np.sqrt((block.real**2 + block.imag**2).sum(axis=1))[:, None]
-        else:
-            block = rho[c[:, :, None], c[:, None, :]]
-            block *= k[:, :, None]
-            block *= k[:, None, :].conj()
-            block /= probs[start : start + chunk, None, None]
-        for j, state in enumerate(block, start):
-            i, m = divmod(j, d)
-            p = float(probs[j])
-            records.append(OutcomeRecord(i=i, m=m, probability=p, receiver_state=state))
-    _check_probability_sum(sum(rec.probability for rec in records), phi)
-    return records
+        span = slice(start, start + chunk)
+        w = _apply_unitary(_outcome_unitary(correction, d, span), phi, adjoint=True)
+        z = _apply_unitary((cols[span], coefs[span]), w, adjoint=True)
+        # the chunk then holds no more than three (n, d) arrays at once
+        del w
+        weighted[span] = np.einsum("oj,oj->o", z.conj() @ rho, z).real
+    sender = alive[0] if len(alive) == 1 else rho
+    return probs, weighted, probs > WEIGHT_FLOOR, partial(_gathered_state, sender, cols, coefs)
 
 
-def _dense_records(
+def _dense_scores(
     d: int,
     phi: np.ndarray,
     bell: np.ndarray,
@@ -396,14 +411,14 @@ def _dense_records(
     ops_a2: np.ndarray,
     convention: str,
     correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
-) -> list[OutcomeRecord]:
-    """Every outcome's scored record under a dense A2 channel, with no outcome state built.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, partial]:
+    """Every outcome's p_o and p_o F_o^2 under a dense A2 channel, with no outcome state built.
 
     ``correction`` is a ``CorrectionTable`` or a named scheme's (columns,
     phases) table. Pair (k, l) reaches the receiver as C_l N_o a_k, so with
     X_o = N_o rho N_o^dag, gathered from rho, p_o = tr(G X_o) and
-    p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi. A
-    scored record builds its corrected state on first read.
+    p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi. Returns
+    the arguments of ``_scored_records`` after ``correction``.
     """
     pair = bell.reshape(d, d)
     c_stack = d * (pair.T @ ops_a2.transpose(0, 2, 1) @ pair.conj())
@@ -442,30 +457,41 @@ def _dense_records(
     terms = d * d + len(alive) + n_ops * d
     roundoff = terms * np.finfo(float).eps * np.trace(gram).real * np.trace(rho).real / d**2
     scored = probs > max(WEIGHT_FLOOR, roundoff)
-    # F_o^2 = <phi|sigma_o|phi>, the overlap pure_fidelity takes
-    fid2 = np.divide(weighted, probs, out=np.zeros(d * d), where=scored)
-    if fid2.min() < -ROUNDOFF_TOL:
-        raise ValueError(f"<phi|sigma|phi> = {fid2.min():.3e} is negative beyond round-off")
-    fids = np.sqrt(np.clip(fid2, 0.0, 1.0))
     # one surviving sender ket through a one-operator stack leaves a ket
     sender = alive[0] if len(alive) == 1 and n_ops == 1 else rho
-    records = []
-    for o in range(d * d):
-        i, m = divmod(o, d)
-        p = float(probs[o])
-        if not scored[o]:
-            records.append(OutcomeRecord(i, m, p, np.zeros(d, dtype=complex)))
-            continue
-        u_o = _outcome_unitary(correction, d, o)
-        state = partial(_dense_state, c_stack, sender, (cols[o], coefs[o]), p, u_o)
-        records.append(_LazyRecord.scored(i, m, p, float(fids[o]), state))
-    return records
+    return probs, weighted, scored, partial(_dense_state, c_stack, sender, cols, coefs)
+
+
+def _gathered_state(
+    sender: np.ndarray,
+    cols: np.ndarray,
+    coefs: np.ndarray,
+    o: int,
+    probability: float,
+    u_o: np.ndarray | tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """One sender-state outcome's corrected state u_o (N_o rho N_o^dag / p_o) u_o^dag.
+
+    ``sender`` is rho, or the one surviving sender ket a, which gives the
+    ket u_o N_o a / |N_o a|: p_o also counts the sender kets under the
+    floor, so a ket takes its own norm.
+    """
+    c, k = cols[o], coefs[o]
+    if sender.ndim == 1:
+        s = k * sender[c]
+        s /= np.sqrt((s.real**2 + s.imag**2).sum())
+    else:
+        s = sender[c[:, None], c] * k[:, None] * k.conj()
+        s /= probability
+    return _apply_unitary(u_o, s)
 
 
 def _dense_state(
     c_stack: np.ndarray,
     sender: np.ndarray,
-    n_o: tuple[np.ndarray, np.ndarray],
+    cols: np.ndarray,
+    coefs: np.ndarray,
+    o: int,
     probability: float,
     u_o: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
@@ -474,12 +500,45 @@ def _dense_state(
     X_o = N_o rho N_o^dag. ``sender`` is rho, or the one surviving sender ket
     a beside a one-operator stack, which gives the ket u_o C N_o a / sqrt(p_o).
     """
-    s = _apply_monomial(*n_o, sender)
+    s = _apply_monomial(cols[o], coefs[o], sender)
     if s.ndim == 1:
         s = c_stack[0] @ s / np.sqrt(probability)
     else:
         s = (c_stack @ s @ c_stack.conj().transpose(0, 2, 1)).sum(axis=0) / probability
     return _apply_unitary(u_o, s)
+
+
+def _scored_records(
+    d: int,
+    correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
+    probs: np.ndarray,
+    weighted: np.ndarray,
+    scored: np.ndarray,
+    state: partial,
+) -> tuple[list[OutcomeRecord], float, float]:
+    """The records and the average and minimum fidelity from every outcome's p_o and p_o F_o^2.
+
+    An outcome outside ``scored`` holds a zero ket and no fidelity. A scored
+    record builds its state on first read, as state(o, p_o, u_o).
+    """
+    # F_o^2 = <phi|sigma_o|phi>, the overlap pure_fidelity takes
+    fid2 = np.divide(weighted, probs, out=np.zeros(d * d), where=scored)
+    if fid2.min() < -ROUNDOFF_TOL:
+        # no input makes this overlap negative: the arithmetic above broke
+        raise RuntimeError(f"<phi|sigma|phi> = {fid2.min():.3e} is negative beyond round-off")
+    fids = np.sqrt(np.clip(fid2, 0.0, 1.0))
+    records = []
+    avg, min_fid = 0.0, 1.0
+    for o, (p, f, keep) in enumerate(zip(probs.tolist(), fids.tolist(), scored.tolist())):
+        i, m = divmod(o, d)
+        if not keep:
+            records.append(OutcomeRecord(i, m, p, np.zeros(d, dtype=complex)))
+            continue
+        build = partial(state, o, p, _outcome_unitary(correction, d, o))
+        records.append(_LazyRecord.scored(i, m, p, f, build))
+        avg += p * f
+        min_fid = min(min_fid, f)
+    return records, avg, min_fid
 
 
 def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) -> np.ndarray:
@@ -635,9 +694,10 @@ def _apply_unitary(
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run one exact teleportation experiment.
 
-    Deterministic: all Kraus pairs and all d^2 outcomes are enumerated,
-    each receiver state is corrected per the configured scheme and scored by
-    fidelity against the input, and the average is probability-weighted.
+    Deterministic: all Kraus pairs and all d^2 outcomes are enumerated, and
+    each outcome is scored by the fidelity of its corrected receiver state
+    against the input, without building that state; the average is
+    probability-weighted.
     """
     d = config.d
     phi = np.asarray(config.input_state, dtype=complex)
@@ -666,22 +726,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     if not isinstance(correction, CorrectionTable):
         correction = _scheme_table(d, correction, config.convention)
     if ops_a2 is None:
-        records = _sender_state_records(d, phi, bell, kets_a1, config.convention)
-        for k, rec in enumerate(records):
-            if rec.probability <= WEIGHT_FLOOR:
-                continue
-            u_o = _outcome_unitary(correction, d, rec.i * d + rec.m)
-            state = _apply_unitary(u_o, rec.receiver_state)
-            records[k] = OutcomeRecord(rec.i, rec.m, rec.probability, state, pure_fidelity(phi, state))
+        scores = _sender_state_scores(d, phi, bell, kets_a1, config.convention, correction)
     else:
-        records = _dense_records(d, phi, bell, kets_a1, ops_a2, config.convention, correction)
-
-    avg = 0.0
-    min_fid = 1.0
-    for rec in records:
-        if rec.fidelity is not None:
-            avg += rec.probability * rec.fidelity
-            min_fid = min(min_fid, rec.fidelity)
+        scores = _dense_scores(d, phi, bell, kets_a1, ops_a2, config.convention, correction)
+    records, avg, min_fid = _scored_records(d, correction, *scores)
 
     return ProtocolResult(
         config=config,

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qudit_teleport import cli
+from qudit_teleport import cli, protocol
 from qudit_teleport.cli import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -231,17 +231,25 @@ class TestSettingDeclarations:
         assert len(run_sweep(SweepConfig(dims=(2,))).rows) == 11
 
     def test_large_dim_warning_on_default_config(self):
+        # Weyl noise on a1,a2 folds into one sender ket per label, d^2 of them
         assert cli._large_dim_warning(SweepConfig(dims=(16,))).endswith(
-            "at d = 16, p = 1 the run returns 256 outcome density matrices of 16 x 16 amplitudes, 1.0 MB"
+            "at d = 16, p = 1 the run holds 256 folded sender kets of 16 amplitudes, 65.5 kB, "
+            "beside its (256, 16) outcome tables, 65.5 kB each"
         )
         assert cli._large_dim_warning(SweepConfig(dims=(64,))).endswith(
-            "at d = 64, p = 1 the run returns 4096 outcome density matrices of 64 x 64 amplitudes, 268.4 MB"
+            "at d = 64, p = 1 the run holds 4096 folded sender kets of 64 amplitudes, 4.2 MB, "
+            "beside its (4096, 64) outcome tables, 4.2 MB each"
+        )
+        assert cli._large_dim_warning(SweepConfig(dims=(128,))).endswith(
+            "at d = 128, p = 1 the run holds 16384 folded sender kets of 128 amplitudes, 33.6 MB, "
+            "beside its (16384, 128) outcome tables, 33.6 MB each"
         )
 
     def test_large_dim_warning_names_kets_when_noiseless(self):
-        # one Weyl label survives at p = 0, so every record is a ket
+        # one Weyl label survives at p = 0, so the noise folds into one sender ket
         assert cli._large_dim_warning(SweepConfig(dims=(128,), p_grid=(0.0,))).endswith(
-            "at d = 128, p = 0 the run returns 16384 outcome kets of 128 amplitudes, 33.6 MB"
+            "at d = 128, p = 0 the run holds 1 folded sender ket of 128 amplitudes, 2.0 kB, "
+            "beside its (16384, 128) outcome tables, 33.6 MB each"
         )
 
     def test_help_snapshot(self, monkeypatch, capsys):
@@ -350,6 +358,17 @@ class TestRunSweep:
         rows = run_sweep(cfg).rows
         assert rows[0].runtime_ms > 0.0
 
+    @pytest.mark.parametrize("targets", ["a1,a2", "a2"])
+    def test_sweep_builds_no_outcome_state(self, monkeypatch, targets):
+        # a row needs only p and F, and a record builds its state when read
+        def unread(*args):
+            raise AssertionError("the sweep built an outcome state")
+
+        monkeypatch.setattr(protocol, "_gathered_state", unread)
+        argv = ["--dims", "2,3,8", "--p-grid", "0:1:0.5", "--input", "random:2:5"]
+        rows = run_sweep(parse_cli(argv + ["--noise-targets", targets])).rows
+        assert len(rows) == 18
+
     def test_golden_p0_sweep_bytes(self):
         # frozen golden output: at p = 0 every fidelity rounds to 1 at 12
         # significant digits, and the pipeline is fully deterministic
@@ -434,12 +453,13 @@ class TestMain:
         assert "warning" in err and "16" in err
 
     def test_large_dim_warning_gives_branch_array_size(self, monkeypatch, capsys):
-        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 density matrices of 16 x 16
+        # the default Weyl sweep on a1,a2 at d = 16, p = 1: 256 sender kets of 16 amplitudes
         monkeypatch.setattr(cli, "run_sweep", lambda config: SweepResult())
         assert main(["--dims", "2,16"]) == 0
         assert capsys.readouterr().err == (
             "warning: exact enumeration scales steeply; dims [16] may take a long time; "
-            "at d = 16, p = 1 the run returns 256 outcome density matrices of 16 x 16 amplitudes, 1.0 MB\n"
+            "at d = 16, p = 1 the run holds 256 folded sender kets of 16 amplitudes, 65.5 kB, "
+            "beside its (256, 16) outcome tables, 65.5 kB each\n"
         )
 
     def test_large_dim_warning_counts_targeted_channels(self, monkeypatch, capsys):
@@ -447,8 +467,10 @@ class TestMain:
         argv = ["--dims", "9", "--p-grid", "0:0.5:0.5", "--noise", "shift", "--noise-targets", "a2"]
         assert main(argv) == 0
         err = capsys.readouterr().err
+        # a shift channel's 9 labels on a2 alone fold into 9 sender kets
         assert err.endswith(
-            "at d = 9, p = 0.5 the run returns 81 outcome density matrices of 9 x 9 amplitudes, 105.0 kB\n"
+            "at d = 9, p = 0.5 the run holds 9 folded sender kets of 9 amplitudes, 1.3 kB, "
+            "beside its (81, 9) outcome tables, 11.7 kB each\n"
         )
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
@@ -473,6 +495,22 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == (
             "error: internal check failed: outcome probabilities do not sum to the branch weight\n"
+        )
+
+    def test_negative_overlap_exits_4(self, monkeypatch, capsys):
+        # an F^2 below zero beyond round-off breaks an invariant; no input causes it
+        scored_records = protocol._scored_records
+
+        def negated(d, correction, probs, weighted, scored, state):
+            return scored_records(d, correction, probs, -weighted, scored, state)
+
+        monkeypatch.setattr(protocol, "_scored_records", negated)
+        rc = main(["--dims", "2", "--p-grid", "0:0:1"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal check failed: <phi|sigma|phi> = -1.000e+00 is negative beyond round-off\n"
         )
 
     def test_missing_input_file_exits_3(self, capsys):

@@ -938,6 +938,30 @@ def sender_reference(d, bell, kets, convention):
     return enumerate_outcomes(d, [(1.0, compose_initial(a, bell)) for a in kets], convention)
 
 
+def gathered_records(d, bell, kets, convention):
+    """Uncorrected sender-state records, each state gathered from one sender state.
+
+    Outcome o's state is N_o rho N_o^dag / p_o, or N_o a / |N_o a| for one
+    surviving sender ket a, gathered in the order a record's state is built
+    on read, so both carry the same bits.
+    """
+    cols, coefs = protocol._receiver_monomial(d, bell, convention)
+    alive, rho = protocol._sender_state(d, kets)
+    n = (kets.real**2 + kets.imag**2).sum(axis=0)
+    probs = (np.abs(coefs) ** 2 * n[cols]).sum(axis=1)
+    records = []
+    for o in range(d * d):
+        c, k = cols[o], coefs[o]
+        if len(alive) == 1:
+            state = k * alive[0][c]
+            state /= np.sqrt((state.real**2 + state.imag**2).sum())
+        else:
+            state = rho[c[:, None], c] * k[:, None] * k.conj()
+            state /= probs[o]
+        records.append(protocol.OutcomeRecord(*divmod(o, d), float(probs[o]), state))
+    return records
+
+
 class TestSenderStatePath:
     """When A2 sees the identity, every record is a gather of one sender state."""
 
@@ -968,17 +992,17 @@ class TestSenderStatePath:
         kets, ops_a2 = protocol._sender_noise(d, phi, a1, a2)
         assert ops_a2 is None
         bell = bell_state(d, label)
-        got = protocol._sender_state_records(d, phi, bell, kets, convention)
-        assert_records_match(got, sender_reference(d, bell, kets, convention))
+        config = ProtocolConfig(
+            d=d, input_state=phi, bell_label=label, convention=convention,
+            noise_a1=a1, noise_a2=a2,
+        )
+        got = run_protocol(config).records
+        assert_records_match(got, dense_scoring(config, sender_reference(d, bell, kets, convention)))
 
         if a2_label and a1_form != "label":
             # a label-form A2 channel beside a dense A1 one folds onto A1 pair
             # by pair; as dense operators it moves to the receiver, where its
             # stack mixes every operator, so near the floor the kinds may differ
-            config = ProtocolConfig(
-                d=d, input_state=phi, bell_label=label, convention=convention,
-                noise_a1=a1, noise_a2=a2,
-            )
             dense = replace(config, noise_a2=KrausChannel(d=d, operators=ch.operators))
             assert_records_match(
                 run_protocol(config).records, run_protocol(dense).records, same_kind=False
@@ -992,10 +1016,11 @@ class TestSenderStatePath:
         ch = crosstalk_channel(d, p, WEYL)
         phi = random_pure_state(d, 3)
         kets, _ = protocol._sender_noise(d, phi, ch, None)
-        bell = bell_state(d, (0, 0))
-        got = protocol._sender_state_records(d, phi, bell, kets, GENERAL)
+        config = ProtocolConfig(d=d, input_state=phi, noise_a1=ch)
+        got = run_protocol(config).records
         assert [r.receiver_state.ndim for r in got] == [kind] * d * d
-        assert_records_match(got, sender_reference(d, bell, kets, GENERAL))
+        reference = sender_reference(d, bell_state(d, (0, 0)), kets, GENERAL)
+        assert_records_match(got, dense_scoring(config, reference))
 
     @pytest.mark.parametrize(
         "a1, a2, pair_path",
@@ -1007,7 +1032,8 @@ class TestSenderStatePath:
     )
     def test_only_a_dense_a2_channel_takes_the_pair_path(self, monkeypatch, a1, a2, pair_path):
         # a dense a2 channel's Kraus pairs are summed at the receiver, by
-        # _dense_records; every other run takes the sender-state path
+        # _dense_scores; every other run takes the sender-state path, and
+        # both hand their scores to _scored_records
         d = 3
         channels = {
             None: None,
@@ -1015,7 +1041,7 @@ class TestSenderStatePath:
             "dense": isometry_channel(d, 2, np.random.default_rng(3)),
         }
         paths = []
-        for name in ("_sender_state_records", "_dense_records"):
+        for name in ("_sender_state_scores", "_dense_scores", "_scored_records"):
             original = getattr(protocol, name)
 
             def recorded(*args, _name=name, _original=original):
@@ -1027,7 +1053,8 @@ class TestSenderStatePath:
             d=d, input_state=random_pure_state(d, 3), noise_a1=channels[a1], noise_a2=channels[a2]
         )
         records = run_protocol(config).records
-        assert paths == ["_dense_records" if pair_path else "_sender_state_records"]
+        path = "_dense_scores" if pair_path else "_sender_state_scores"
+        assert paths == [path, "_scored_records"]
         assert_records_match(records, branch_form_run(config))
 
 
@@ -1119,6 +1146,71 @@ class TestDensePath:
         records = run_protocol(config).records
         assert {r.receiver_state.ndim for r in records} == {1}
         assert_records_match(records, branch_form_run(config))
+
+
+class TestScoredRecords:
+    """Every outcome is scored from p_o and p_o F_o^2, with no outcome state built."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        p=st.floats(0.0, 1.0),
+        variant=st.sampled_from(VARIANTS),
+        targets=st.sampled_from(["a1", "a2", "a1a2"]),
+        scheme=st.sampled_from([DERIVED_EXACT, PAPER_WEYL, "table"]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fidelity_is_the_overlap_of_the_state_read(
+        self, d, p, variant, targets, scheme, convention, data, seed
+    ):
+        if convention == QUTRIT_ALT:
+            d = 3
+        ch = crosstalk_channel(d, p, variant)
+        a1, a2 = (ch if t in targets else None for t in ("a1", "a2"))
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        correction = scheme
+        if scheme == "table":
+            rng = np.random.default_rng(seed)
+            entries = {(i, m): random_unitary(rng, d) for i in range(d) for m in range(d)}
+            correction = CorrectionTable(d=d, entries=entries)
+        phi = random_pure_state(d, seed)
+        config = ProtocolConfig(
+            d=d, input_state=phi, bell_label=label, convention=convention,
+            noise_a1=a1, noise_a2=a2, correction=correction,
+        )
+        res = run_protocol(config)
+        assert abs(sum(r.probability for r in res.records) - np.vdot(phi, phi).real) <= 1e-10
+        # with noise on both qudits the reference sums up to d^4 Kraus pairs,
+        # and its own round-off reaches about 1e-13 at d = 7, 8
+        tol = 1e-12 if targets == "a1a2" else 1e-14
+        for rec, ref in zip(res.records, branch_form_run(config), strict=True):
+            assert rec.fidelity is not None
+            assert abs(rec.fidelity - pure_fidelity(phi, rec.receiver_state)) <= 1e-14
+            assert abs(rec.fidelity - ref.fidelity) <= tol
+
+    def test_scores_give_records_average_and_minimum(self):
+        d = 2
+        correction = protocol._scheme_table(d, DERIVED_EXACT, GENERAL)
+        probs = np.array([0.25, 0.25, 0.25, 1e-30])
+        # an F^2 that rounds below zero reads F = 0; an unscored outcome holds a zero ket
+        weighted = np.array([0.25, -1e-17, 0.0625, 0.0])
+        records, avg, low = protocol._scored_records(
+            d, correction, probs, weighted, probs > WEIGHT_FLOOR, lambda o, p, u: None
+        )
+        assert [r.fidelity for r in records] == [1.0, 0.0, 0.5, None]
+        assert (avg, low) == (0.25 + 0.25 * 0.5, 0.0)
+        assert_same_floats(records[3].receiver_state, np.zeros(d, dtype=complex))
+
+    def test_negative_overlap_is_an_internal_error(self):
+        # no input makes <phi|sigma|phi> negative, so the CLI reports it with exit 4
+        d = 2
+        correction = protocol._scheme_table(d, DERIVED_EXACT, GENERAL)
+        probs = np.full(d * d, 0.25)
+        weighted = np.array([0.25, 0.25, -1e-9, 0.25])
+        with pytest.raises(RuntimeError, match="negative beyond round-off"):
+            protocol._scored_records(d, correction, probs, weighted, probs > 0, lambda o, p, u: None)
 
 
 class TestMonomialLayer:
@@ -1228,19 +1320,15 @@ class TestMonomialCorrection:
         assert {r.receiver_state.ndim for r in records} == ({2} if noisy else {1})
         assert_records_match(records, branch_form_run(config), tol=1e-14)
 
-        # a table is applied as dense products, exactly as the reference scores
-        # the outcome map's own uncorrected records
+        # a table is applied as dense products to the gathered states, so a
+        # state read from a record carries the bits the reference gives it
         table_config = replace(config, correction=CorrectionTable(d=d, entries=dense))
         table_records = run_protocol(table_config).records
         kets, _ = protocol._sender_noise(d, phi, noise, None)
-        uncorrected = protocol._sender_state_records(d, phi, bell_state(d, (0, 0)), kets, convention)
+        uncorrected = gathered_records(d, bell_state(d, (0, 0)), kets, convention)
         for got, want in zip(table_records, dense_scoring(table_config, uncorrected), strict=True):
-            assert (got.i, got.m, got.probability, got.fidelity) == (
-                want.i,
-                want.m,
-                want.probability,
-                want.fidelity,
-            )
+            assert (got.i, got.m, got.probability) == (want.i, want.m, want.probability)
+            assert abs(got.fidelity - want.fidelity) <= 1e-14
             assert_same_floats(got.receiver_state, want.receiver_state)
         assert_records_match(table_records, records, tol=1e-14)
 
