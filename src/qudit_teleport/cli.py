@@ -378,7 +378,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         expected_trigger_probability=etp,
                     )
                 )
-                # the next run would otherwise start with this one's d^2 states alive
+                # the next run would otherwise start with this one's sender state alive
                 del proto
     return result
 

@@ -53,18 +53,23 @@ and rho = sum a_k a_k^dag runs over the sender kets whose weight
 Both paths score every outcome by one formula: with u_o the correction and
 sigma_o the corrected state, p_o F_o^2 = p_o <phi|sigma_o|phi> is a quadratic
 form of rho, so no outcome state is built. Each path hands p_o, p_o F_o^2
-and the outcomes it leaves unscored to ``_scored_records``, which makes the
-records, the average and the minimum. A record builds its state on first
-read.
+and the outcomes it leaves unscored to ``_scored_records``, which returns
+the average, summed in outcome order, and the minimum, and builds no
+record: ``ProtocolResult.records`` is built from those arrays on its first
+read, and a record builds its state on its own first read. A
+``CorrectionTable`` is copied when the run starts, so a later edit to it
+changes no record.
 
 When A2 sees the identity (``_sender_state_scores``), V_(o,k) = N_o a_k:
 pair k weighs |a_k|^2 / d^2 in every outcome, and the mixture is
 N_o rho N_o^dag. So p_o = sum_B |N_o[B, c]|^2 n_c, n the sender kets'
 weight per level, and p_o F_o^2 = z_o^dag rho z_o with
 z_o = N_o^dag u_o^dag phi, two scatters of phi. A chunk of outcomes costs
-one (n, d) @ (d, d) product. A state read is u_o N_o rho N_o^dag u_o^dag / p_o,
-a gather of rho (``_gathered_state``); it is a ket when one sender ket
-survives.
+one (n, d) @ (d, d) product. With at most d sender kets the form is summed
+over them, p_o F_o^2 = sum_k |a_k^dag z_o|^2, whose terms are never
+negative, so a small F carries no cancellation between entries of rho. A
+state read is u_o N_o rho N_o^dag u_o^dag / p_o, a gather of rho
+(``_gathered_state``); it is a ket when one sender ket survives.
 
 A dense A2 channel moves to the receiver (``_dense_scores``; teleportation
 as a channel on the receiver, Bowen and Bose, PRL 87, 267901, 2001). Since
@@ -201,21 +206,22 @@ class OutcomeRecord:
     fidelity: float | None = None
 
 
-class _LazyRecord(OutcomeRecord):
-    """A scored record whose ``receiver_state`` is ``_build()``, called on first read.
+def _built_on_read(cls, build, **fields):
+    """A ``_LazyRecord`` or ``_LazyResult`` with ``fields`` set and its lazy field unset.
 
-    ``scored`` makes one; the dataclass constructor, which
-    ``dataclasses.replace`` calls, makes a record that holds its state.
+    Skips the dataclass constructor, so the lazy field is ``build()``, called
+    on its first read; that constructor, which ``dataclasses.replace`` calls,
+    makes an instance that holds the field.
     """
+    instance = cls.__new__(cls)
+    for name, value in {**fields, "_build": build}.items():
+        # OutcomeRecord is frozen
+        object.__setattr__(instance, name, value)
+    return instance
 
-    @classmethod
-    def scored(cls, i: int, m: int, probability: float, fidelity: float, build) -> _LazyRecord:
-        record = cls.__new__(cls)
-        # frozen fields; receiver_state stays unset until its first read
-        fields = {"i": i, "m": m, "probability": probability, "fidelity": fidelity, "_build": build}
-        for name, value in fields.items():
-            object.__setattr__(record, name, value)
-        return record
+
+class _LazyRecord(OutcomeRecord):
+    """A scored record whose ``receiver_state`` is ``_build()``, called on first read."""
 
     @cached_property
     def receiver_state(self) -> np.ndarray:
@@ -272,21 +278,22 @@ def _fold_weyl_weights(d: int, w_a1: np.ndarray | None, w_a2: np.ndarray | None)
 
     Q(e) = sum w_a1(a) w_a2(b) over all a + L2 b = e (mod d), with
     L2 (i, m) = (-i, m): e = (a_i - b_i, a_m + b_m). An absent table is the
-    identity label. Q is built by index arithmetic, one product of w_a1's
-    rows shifted by b_i with a circulant of w_a2's row b_i per nonzero row,
-    so each entry is a sum of products of nonnegative weights: none is
-    negative, and an entry is nonzero only where some product is.
+    identity label. Q is built by index arithmetic: for each nonzero row b_i
+    of w_a2, w_a1's rows shifted by b_i times a circulant of w_a2's row b_i,
+    all in one batched product summed over the rows in order. So each entry
+    is a sum of products of nonnegative weights: none is negative, and an
+    entry is nonzero only where some product is.
     """
     identity = np.zeros((d, d))
     identity[0, 0] = 1.0
     w1 = identity if w_a1 is None else w_a1
     w2 = identity if w_a2 is None else w_a2
     k = np.arange(d)
-    q = np.zeros((d, d))
-    for b_i in np.flatnonzero(w2.any(axis=1)):
-        # q[e_i, e_m] += sum over a_m of w1[e_i + b_i, a_m] w2[b_i, e_m - a_m]
-        q += w1[(k + b_i) % d] @ w2[b_i, (k - k[:, None]) % d]
-    return q
+    rows = np.flatnonzero(w2.any(axis=1))
+    # q[e_i, e_m] = sum over b_i and a_m of w1[e_i + b_i, a_m] w2[b_i, e_m - a_m]
+    shifted = w1[(k + rows[:, None]) % d]
+    circulants = w2[rows[:, None, None], (k - k[:, None]) % d]
+    return (shifted @ circulants).sum(axis=0)
 
 
 @lru_cache(maxsize=1)
@@ -372,15 +379,18 @@ def _sender_state_scores(
     bell: np.ndarray,
     kets_a1: np.ndarray,
     convention: str,
-    correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
+    correction: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, partial]:
     """Every outcome's p_o and p_o F_o^2 when A2 sees the identity, with no outcome state built.
 
     Outcome o sends the A1 ket a_k to the receiver as N_o a_k, so
     p_o = sum_B |coefs[o, B]|^2 n[cols[o, B]] with n = sum_k |a_k|^2 per
     level, and the corrected mixture is u_o N_o rho N_o^dag u_o^dag / p_o,
-    so p_o F_o^2 = z_o^dag rho z_o with z_o = N_o^dag u_o^dag phi. Returns
-    the arguments of ``_scored_records`` after ``correction``.
+    so p_o F_o^2 = z_o^dag rho z_o with z_o = N_o^dag u_o^dag phi. With at
+    most d sender kets it is summed over them, sum_k |a_k^dag z_o|^2, whose
+    terms are never negative: a small F then carries only the rounding of
+    the overlaps, where the entries of rho can cancel. Returns the
+    arguments of ``_scored_records`` after ``correction``.
     """
     cols, coefs = _receiver_monomial(d, bell, convention)
     n = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=0)
@@ -389,16 +399,21 @@ def _sender_state_scores(
     alive, rho = _sender_state(d, kets_a1)
 
     weighted = np.empty(d * d)
-    # a chunk's largest arrays are z and z^dag rho, (n, d), or a table's (n, d, d) unitaries
-    per_outcome = d * (d if isinstance(correction, CorrectionTable) else 1)
+    kets_adj = alive.conj().T if len(alive) <= d else None
+    # a chunk's largest arrays are z and z^dag rho, (n, d), or a table's (n, d, d) adjoints
+    per_outcome = d * (d if isinstance(correction, np.ndarray) else 1)
     chunk = max(1, OUTCOME_CHUNK_BYTES // (per_outcome * np.dtype(complex).itemsize))
     for start in range(0, d * d, chunk):
         span = slice(start, start + chunk)
-        w = _apply_unitary(_outcome_unitary(correction, d, span), phi, adjoint=True)
+        w = _apply_unitary(_outcome_unitary(correction, span), phi, adjoint=True)
         z = _apply_unitary((cols[span], coefs[span]), w, adjoint=True)
         # the chunk then holds no more than three (n, d) arrays at once
         del w
-        weighted[span] = np.einsum("oj,oj->o", z.conj() @ rho, z).real
+        if kets_adj is None:
+            weighted[span] = np.einsum("oj,oj->o", z.conj() @ rho, z).real
+        else:
+            overlaps = z @ kets_adj
+            weighted[span] = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
     sender = alive[0] if len(alive) == 1 else rho
     return probs, weighted, probs > WEIGHT_FLOOR, partial(_gathered_state, sender, cols, coefs)
 
@@ -410,12 +425,12 @@ def _dense_scores(
     kets_a1: np.ndarray,
     ops_a2: np.ndarray,
     convention: str,
-    correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
+    correction: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, partial]:
     """Every outcome's p_o and p_o F_o^2 under a dense A2 channel, with no outcome state built.
 
-    ``correction`` is a ``CorrectionTable`` or a named scheme's (columns,
-    phases) table. Pair (k, l) reaches the receiver as C_l N_o a_k, so with
+    ``correction`` is a table's (d^2, d, d) unitaries or a named scheme's
+    (columns, phases) table. Pair (k, l) reaches the receiver as C_l N_o a_k, so with
     X_o = N_o rho N_o^dag, gathered from rho, p_o = tr(G X_o) and
     p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi. Returns
     the arguments of ``_scored_records`` after ``correction``.
@@ -440,7 +455,7 @@ def _dense_scores(
         x *= k[:, :, None]
         x *= k[:, None, :].conj()
         probs[span] = (x.reshape(n, -1) @ gram.T.reshape(-1)).real
-        w = _apply_unitary(_outcome_unitary(correction, d, span), phi, adjoint=True)
+        w = _apply_unitary(_outcome_unitary(correction, span), phi, adjoint=True)
         v = (w @ c_adj).reshape(n, n_ops, d).transpose(0, 2, 1)
         weighted[span] = np.einsum("ojl,ojl->o", v.conj(), x @ v).real
     # the weights |V|^2 this sum stands for are never negative
@@ -510,16 +525,18 @@ def _dense_state(
 
 def _scored_records(
     d: int,
-    correction: CorrectionTable | tuple[np.ndarray, np.ndarray],
+    correction: np.ndarray | tuple[np.ndarray, np.ndarray],
     probs: np.ndarray,
     weighted: np.ndarray,
     scored: np.ndarray,
     state: partial,
-) -> tuple[list[OutcomeRecord], float, float]:
-    """The records and the average and minimum fidelity from every outcome's p_o and p_o F_o^2.
+) -> tuple[partial, float, float]:
+    """The records' builder, the average and the minimum F, from every p_o and p_o F_o^2.
 
-    An outcome outside ``scored`` holds a zero ket and no fidelity. A scored
-    record builds its state on first read, as state(o, p_o, u_o).
+    No record is built here: ``ProtocolResult.records`` calls the builder on
+    its first read. An outcome outside ``scored`` holds a zero ket and no
+    fidelity; a scored record builds its state on first read, as
+    state(o, p_o, u_o).
     """
     # F_o^2 = <phi|sigma_o|phi>, the overlap pure_fidelity takes
     fid2 = np.divide(weighted, probs, out=np.zeros(d * d), where=scored)
@@ -527,18 +544,30 @@ def _scored_records(
         # no input makes this overlap negative: the arithmetic above broke
         raise RuntimeError(f"<phi|sigma|phi> = {fid2.min():.3e} is negative beyond round-off")
     fids = np.sqrt(np.clip(fid2, 0.0, 1.0))
+    # summed in outcome order, one term at a time; an unscored term is +0.0
+    avg = float(np.cumsum(probs * fids)[-1])
+    min_fid = float(fids.min(initial=1.0, where=scored))
+    return partial(_records, d, correction, probs, fids, scored, state), avg, min_fid
+
+
+def _records(
+    d: int,
+    correction: np.ndarray | tuple[np.ndarray, np.ndarray],
+    probs: np.ndarray,
+    fids: np.ndarray,
+    scored: np.ndarray,
+    state: partial,
+) -> list[OutcomeRecord]:
+    """Every outcome's record, in outcome order; a scored one builds its state on first read."""
     records = []
-    avg, min_fid = 0.0, 1.0
     for o, (p, f, keep) in enumerate(zip(probs.tolist(), fids.tolist(), scored.tolist())):
         i, m = divmod(o, d)
-        if not keep:
+        if keep:
+            build = partial(state, o, p, _outcome_unitary(correction, o))
+            records.append(_built_on_read(_LazyRecord, build, i=i, m=m, probability=p, fidelity=f))
+        else:
             records.append(OutcomeRecord(i, m, p, np.zeros(d, dtype=complex)))
-            continue
-        build = partial(state, o, p, _outcome_unitary(correction, d, o))
-        records.append(_LazyRecord.scored(i, m, p, f, build))
-        avg += p * f
-        min_fid = min(min_fid, f)
-    return records, avg, min_fid
+    return records
 
 
 def derived_exact_correction(d: int, i: int, m: int, convention: str = GENERAL) -> np.ndarray:
@@ -606,10 +635,30 @@ class ProtocolConfig:
 
 @dataclass
 class ProtocolResult:
+    """One run's outcome records and its average and minimum fidelity.
+
+    ``run_protocol`` scores a run without its records: ``records`` is built
+    on its first read, and then kept.
+    """
+
     config: ProtocolConfig
     records: list[OutcomeRecord]
     average_fidelity: float
     min_outcome_fidelity: float
+
+
+class _LazyResult(ProtocolResult):
+    """A result whose ``records`` is ``_build()``, called on first read.
+
+    The read then drops ``_build`` and the score arrays it holds, which the
+    records no longer need.
+    """
+
+    @cached_property
+    def records(self) -> list[OutcomeRecord]:
+        records = self._build()
+        del self._build
+        return records
 
 
 @lru_cache(maxsize=32)
@@ -655,18 +704,15 @@ def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) 
 
 
 def _outcome_unitary(
-    correction: CorrectionTable | tuple[np.ndarray, np.ndarray], d: int, o: int | slice
+    correction: np.ndarray | tuple[np.ndarray, np.ndarray], o: int | slice
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Outcome o's correction: a table's dense unitary, or a scheme's (columns, phases) row.
 
-    A slice of outcomes stacks their corrections along a leading axis. A
-    table's entries are copied, so a record that builds its state on read
-    ignores later edits to the table; a scheme's rows are read-only.
+    A table comes as its (d^2, d, d) unitaries in outcome order, a scheme as
+    its two (d^2, d) arrays; a slice of outcomes keeps the leading axis.
     """
-    if isinstance(correction, CorrectionTable):
-        if isinstance(o, slice):
-            return np.stack([correction.entries[divmod(j, d)] for j in range(d * d)[o]])
-        return correction.entries[divmod(o, d)].copy()
+    if isinstance(correction, np.ndarray):
+        return correction[o]
     columns, phases = correction
     return columns[o], phases[o]
 
@@ -723,17 +769,16 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     bell = bell_state(d, config.bell_label)
     kets_a1, ops_a2 = _sender_noise(d, phi, *noise)
     correction = config.correction
-    if not isinstance(correction, CorrectionTable):
+    if isinstance(correction, CorrectionTable):
+        # a copy, so a record that builds its state later ignores edits to the table
+        correction = np.stack([correction.entries[divmod(o, d)] for o in range(d * d)])
+    else:
         correction = _scheme_table(d, correction, config.convention)
     if ops_a2 is None:
         scores = _sender_state_scores(d, phi, bell, kets_a1, config.convention, correction)
     else:
         scores = _dense_scores(d, phi, bell, kets_a1, ops_a2, config.convention, correction)
-    records, avg, min_fid = _scored_records(d, correction, *scores)
-
-    return ProtocolResult(
-        config=config,
-        records=records,
-        average_fidelity=avg,
-        min_outcome_fidelity=min_fid,
+    build, avg, min_fid = _scored_records(d, correction, *scores)
+    return _built_on_read(
+        _LazyResult, build, config=config, average_fidelity=avg, min_outcome_fidelity=min_fid
     )

@@ -1,10 +1,13 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qudit_teleport import cli, protocol
+from qudit_teleport.protocol import ProtocolConfig, run_protocol
+from qudit_teleport.states import uniform_state
 from qudit_teleport.cli import (
     CSV_HEADER,
     MAX_GRID_POINTS,
@@ -312,6 +315,22 @@ class TestRunSweep:
         # every p of the default grid, far past the default dims
         assert emit(run_sweep(parse_cli(["--dims", "32"])), "csv") == oracle_csv((32,))
 
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (
+                "--dims 8 --p-grid 0:0:1 --correction paper-weyl --input random:20:3",
+                "paper-weyl-d8-random-20-3.csv",
+            ),
+            ("--dims 2,3 --input random:10:1", "d2-3-random-10-1.csv"),
+        ],
+    )
+    def test_non_default_sweeps_equal_golden_files(self, argv, golden):
+        # the CSVs the CI compares with cmp; every row was checked against the
+        # branch engine when the file was written
+        want = (Path(__file__).parent / "data" / golden).read_bytes()
+        assert emit(run_sweep(parse_cli(argv.split())), "csv") == want
+
     def test_noiseless_point_reaches_unit_fidelity(self):
         cfg = parse_cli(["--dims", "2", "--p-grid", "0:0:1"])
         rows = run_sweep(cfg).rows
@@ -368,6 +387,27 @@ class TestRunSweep:
         argv = ["--dims", "2,3,8", "--p-grid", "0:1:0.5", "--input", "random:2:5"]
         rows = run_sweep(parse_cli(argv + ["--noise-targets", targets])).rows
         assert len(rows) == 18
+
+    @pytest.mark.parametrize("targets", ["a1,a2", "a2"])
+    def test_sweep_builds_no_record(self, monkeypatch, targets):
+        # a row needs only the average and the minimum, and a run builds its
+        # records when they are read
+        built = []
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return object.__new__(cls)
+
+        # both kinds of record protocol makes, each counted as it is made
+        for name in ("OutcomeRecord", "_LazyRecord"):
+            kind = getattr(protocol, name)
+            monkeypatch.setattr(protocol, name, type(name, (kind,), {"__new__": counted}))
+        argv = ["--dims", "2,3,8", "--p-grid", "0:1:0.5", "--input", "random:2:5"]
+        rows = run_sweep(parse_cli(argv + ["--noise-targets", targets])).rows
+        assert len(rows) == 18 and built == []
+        # the count sees every record a read builds
+        records = run_protocol(ProtocolConfig(d=2, input_state=uniform_state(2))).records
+        assert len(records) == len(built) == 4
 
     def test_golden_p0_sweep_bytes(self):
         # frozen golden output: at p = 0 every fidelity rounds to 1 at 12

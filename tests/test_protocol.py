@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qudit_teleport import protocol
@@ -1196,9 +1196,11 @@ class TestScoredRecords:
         probs = np.array([0.25, 0.25, 0.25, 1e-30])
         # an F^2 that rounds below zero reads F = 0; an unscored outcome holds a zero ket
         weighted = np.array([0.25, -1e-17, 0.0625, 0.0])
-        records, avg, low = protocol._scored_records(
+        # it builds no record; the call it returns builds them
+        build, avg, low = protocol._scored_records(
             d, correction, probs, weighted, probs > WEIGHT_FLOOR, lambda o, p, u: None
         )
+        records = build()
         assert [r.fidelity for r in records] == [1.0, 0.0, 0.5, None]
         assert (avg, low) == (0.25 + 0.25 * 0.5, 0.0)
         assert_same_floats(records[3].receiver_state, np.zeros(d, dtype=complex))
@@ -1211,6 +1213,101 @@ class TestScoredRecords:
         weighted = np.array([0.25, 0.25, -1e-9, 0.25])
         with pytest.raises(RuntimeError, match="negative beyond round-off"):
             protocol._scored_records(d, correction, probs, weighted, probs > 0, lambda o, p, u: None)
+
+
+def built_on_read_config(name):
+    """One run per kind of record state: a ket or a mixture, a scheme or a table, each path."""
+    d = 4
+    rng = np.random.default_rng(4)
+    phi = random_pure_state(d, 4)
+    weyl_noise = crosstalk_channel(d, 0.37, WEYL)
+    dense = isometry_channel(d, 3, rng)
+    table = CorrectionTable(
+        d=d, entries={(i, m): random_unitary(rng, d) for i in range(d) for m in range(d)}
+    )
+    return {
+        "noiseless": ProtocolConfig(d=d, input_state=phi),
+        "weyl": ProtocolConfig(
+            d=d, input_state=phi, noise_a1=weyl_noise, noise_a2=weyl_noise, correction=PAPER_WEYL
+        ),
+        "weyl-table": ProtocolConfig(d=d, input_state=phi, noise_a1=weyl_noise, correction=table),
+        "dense-a2": ProtocolConfig(d=d, input_state=phi, noise_a1=weyl_noise, noise_a2=dense),
+        "dense-a2-table": ProtocolConfig(d=d, input_state=phi, noise_a2=dense, correction=table),
+    }[name]
+
+
+class TestRecordsBuiltOnRead:
+    """A run returns its average and minimum; its records are built on their first read."""
+
+    @pytest.mark.parametrize(
+        "name", ["noiseless", "weyl", "weyl-table", "dense-a2", "dense-a2-table"]
+    )
+    def test_records_read_later_match_an_eager_build(self, name):
+        config = built_on_read_config(name)
+        late = run_protocol(config)
+        # runs at other dimensions in between replace the fold's one cache entry
+        for d in (2, 3):
+            ch = crosstalk_channel(d, 0.1, SHIFT)
+            run_protocol(
+                ProtocolConfig(
+                    d=d, input_state=uniform_state(d), noise_a1=ch, noise_a2=ch, correction=PAPER_WEYL
+                )
+            )
+        eager = run_protocol(config).records
+        want = [(r.i, r.m, r.probability, r.fidelity, r.receiver_state) for r in eager]
+        records = late.records
+        assert late.records is records
+        for rec, (i, m, p, f, state) in zip(records, want, strict=True):
+            assert (rec.i, rec.m, rec.probability, rec.fidelity) == (i, m, p, f)
+            assert_same_floats(rec.receiver_state, state)
+        # the average and the minimum are those of the records, summed in outcome order
+        avg, low = 0.0, 1.0
+        for rec in records:
+            if rec.fidelity is not None:
+                avg += rec.probability * rec.fidelity
+                low = min(low, rec.fidelity)
+        assert (late.average_fidelity, late.min_outcome_fidelity) == (avg, low)
+        assert replace(late, average_fidelity=0.5).records is records
+
+    @pytest.mark.parametrize("name", ["weyl-table", "dense-a2-table"])
+    def test_table_edits_before_the_first_read_leave_every_state(self, name):
+        config = built_on_read_config(name)
+        table = config.correction
+        copies = {key: u.copy() for key, u in table.entries.items()}
+        untouched = CorrectionTable(d=table.d, entries=copies)
+        res = run_protocol(config)
+        for u in table.entries.values():
+            u[...] = np.eye(table.d)
+        for key in table.entries:
+            table.entries[key] = weyl(table.d, 1, 1)
+        want = run_protocol(replace(config, correction=untouched)).records
+        for rec, ref in zip(res.records, want, strict=True):
+            assert (rec.probability, rec.fidelity) == (ref.probability, ref.fidelity)
+            assert_same_floats(rec.receiver_state, ref.receiver_state)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        scheme=st.sampled_from([PAPER_WEYL, DERIVED_EXACT]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # z^dag rho z scored these outcomes' F about 1e-3 at a relative 1e-11 off
+    @example(d=3, scheme=PAPER_WEYL, convention=QUTRIT_ALT, seed=540)
+    @example(d=8, scheme=PAPER_WEYL, convention=GENERAL, seed=15)
+    def test_noiseless_fidelities_keep_their_relative_accuracy(self, d, scheme, convention, seed):
+        # one sender ket survives, so p_o F_o^2 = |a^dag z_o|^2: no entries of
+        # rho cancel, and F carries only the rounding of the overlap itself
+        if convention == QUTRIT_ALT:
+            d = 3
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, seed), convention=convention, correction=scheme
+        )
+        # both engines sum the overlap itself over d terms of modulus up to
+        # 1 / d, so an F near 1e-5 carries their rounding, about d eps
+        roundoff = d * np.finfo(float).eps
+        for rec, ref in zip(run_protocol(config).records, branch_form_run(config), strict=True):
+            assert abs(rec.fidelity - ref.fidelity) <= 1e-12 * ref.fidelity + roundoff
 
 
 class TestMonomialLayer:
@@ -1288,6 +1385,8 @@ class TestMonomialCorrection:
         noisy=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # F is about 1.2e-3 on one outcome here: a z^dag rho z score was 1.7e-14 off
+    @example(d=3, scheme=PAPER_WEYL, convention=QUTRIT_ALT, noisy=False, seed=540)
     def test_gathers_match_dense_products(self, d, scheme, convention, noisy, seed):
         if convention == QUTRIT_ALT:
             d = 3
