@@ -114,8 +114,10 @@ class KrausChannel:
     and ``protocol.run_protocol`` reads the table, not operators. A
     label-form channel builds ``operators`` on first access, sqrt(w(i, m))
     U_(i,m) for each label of nonzero weight in row-major order; a dense
-    channel has ``weyl_weights`` None. The channel is not modified after
-    construction.
+    channel has ``weyl_weights`` None. A dense channel copies its operators
+    into ``operator_stack`` at construction, and ``operators`` are read-only
+    views of that stack, so a later edit to the caller's arrays changes
+    nothing. The channel is not modified after construction.
     """
 
     def __init__(
@@ -144,12 +146,17 @@ class KrausChannel:
             self.weyl_weights = weights
             return
         self.weyl_weights = None
-        self.operators = tuple(np.asarray(op, dtype=complex) for op in operators)
-        if not self.operators:
+        ops = [np.asarray(op, dtype=complex) for op in operators]
+        if not ops:
             raise CompletenessError("channel has no Kraus operators")
-        for op in self.operators:
+        for op in ops:
             if op.shape != (d, d):
                 raise ValueError(f"Kraus operator shape {op.shape} != ({d}, {d})")
+        # a copy, so a later edit to the caller's arrays leaves the checked channel
+        stack = np.stack(ops)
+        stack.setflags(write=False)
+        self.operator_stack = stack
+        self.operators = tuple(stack)
         # checked before any product, which would warn on inf * 0
         if not np.isfinite(self.operator_stack).all():
             raise CompletenessError(f"channel {name} has a non-finite Kraus operator entry")
@@ -163,13 +170,13 @@ class KrausChannel:
 
     @cached_property
     def operators(self) -> tuple[np.ndarray, ...]:
-        """The Kraus operators; a dense channel sets them at construction."""
+        """The Kraus operators; a dense channel sets them at construction, as views of its stack."""
         w = self.weyl_weights
         return tuple(np.sqrt(w[i, m]) * weyl(self.d, i, m) for i, m in zip(*w.nonzero()))
 
     @cached_property
     def operator_stack(self) -> np.ndarray:
-        """The operators as one read-only (K, d, d) array, built once per channel."""
+        """The operators as one read-only (K, d, d) array; label form builds it on first access."""
         stack = np.stack(self.operators)
         stack.setflags(write=False)
         return stack

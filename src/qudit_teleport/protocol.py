@@ -80,17 +80,30 @@ sum_l C_l X_o C_l^dag with X_o = N_o rho N_o^dag, and:
 * p_o = tr(G X_o), G = sum_l C_l^dag C_l;
 * p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi.
 
-A state read is u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag (``_dense_state``).
-It is a ket when one sender ket survives and the stack has one operator.
-p_o is a signed sum here, so an impossible outcome rounds to about 1e-17,
-not to zero: an outcome within the sum's rounding bound of zero stays
-unscored.
+Each crystal group m sends one input pair to each output path, and the QFT
+over the output paths only sets phases, so the d detectors of a group share
+one gather: N_(i,m) = Delta_(i,m) N_m, with N_m carrying the Bell pair's
+phases and the diagonal Delta_(i,m) the QFT row's, read from
+``monomial_rows`` (``_receiver_groups``). The path gathers
+X_m = N_m rho N_m^dag once per group, d^3 entries in all, and scores the
+group's d detectors from it: p_(i,m) = tr(G Delta X_m Delta^dag) and, with
+y_lo = Delta^dag v_lo, p_o F_o^2 = sum_l y_lo^dag X_m y_lo, summed as
+sum_(k,l) |y_lo^dag N_m a_k|^2 over at most d sender kets. A chunk of groups
+costs one w @ c_adj product for every v_lo and one batched product against
+N_m a_k or X_m. A state read is u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag
+(``_dense_state``), N_o read from its group's map and its QFT row. It is a
+ket when one sender ket survives and the stack has one operator. p_o is a
+signed sum here, so an impossible outcome rounds to about 1e-17, not to
+zero: an outcome within the sum's rounding bound,
+(2 d + K + L d) eps tr(G) tr(rho) / d^2 for K sender kets and L operators,
+of zero stays unscored.
 
-Outcomes are processed in chunks, and OUTCOME_CHUNK_BYTES bounds every array
-a chunk allocates; only a single outcome whose own arrays exceed it goes
-over. The probabilities must sum to the weight the run carries (||phi||^2
-for the input phi) within 1e-10. An F_o^2 below zero beyond round-off is a
-broken invariant, not a bad input, and raises RuntimeError.
+Outcomes are processed in chunks, crystal groups on the dense path, and
+OUTCOME_CHUNK_BYTES bounds every array a chunk allocates; only a single
+outcome, or group, whose own arrays exceed it goes over. The probabilities
+must sum to the weight the run carries (||phi||^2 for the input phi) within
+1e-10. An F_o^2 below zero beyond round-off is a broken invariant, not a bad
+input, and raises RuntimeError.
 
 Weyl fold
 ---------
@@ -163,8 +176,11 @@ PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
 
 # Bounds every array either run path allocates for a chunk of outcomes; a
-# chunk holds at least one outcome, whose own arrays alone may exceed it.
-OUTCOME_CHUNK_BYTES = 4 * 2**20
+# chunk holds at least one outcome, or one crystal group on the dense path,
+# whose own arrays alone may exceed it. Larger chunks save little time: a
+# d = 32 dense-a2 run with 16 + 16 operators holds 1.5 MiB at two groups per
+# chunk and 4.9 MiB at ten, and takes 8.9 and 7.9 ms (2 vCPU).
+OUTCOME_CHUNK_BYTES = 2**20
 
 
 def inversion(d: int) -> np.ndarray:
@@ -337,6 +353,31 @@ def _sender_noise(
     return kets, noise_a2.operator_stack if dense_a2 else None
 
 
+def _receiver_groups(
+    d: int, bell: np.ndarray, convention: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each crystal group's receiver map as (columns, coefficients, slots), shape (d, d).
+
+    A row's positions depend only on its group m, and detector i only sets
+    the phases, QFT[i, out]. So N_(i,m) = Delta_(i,m) N_m: N_m[B, cols[m, B]]
+    = coefs[m, B] carries the Bell pair's phases alone, and the diagonal
+    Delta_(i,m)[B] = phases[i d + m, slots[m, B]] carries the QFT row's,
+    ``phases`` those of ``monomial_rows``.
+    """
+    positions, _ = monomial_rows(d, convention)
+    # row m, detector 0's row of group m: its entry j sends A1 level a to A2
+    # level b, and the Bell pair sends A2 level b to receiver level out[m, j]
+    a, b = np.divmod(positions[:d], d)
+    pair = bell.reshape(d, d)
+    out = np.abs(pair).argmax(axis=1)[b]
+    m = np.arange(d)[:, None]
+    cols, coefs, slots = np.empty_like(a), np.empty(a.shape, dtype=complex), np.empty_like(a)
+    cols[m, out] = a
+    coefs[m, out] = pair[b, out]
+    slots[m, out] = np.arange(d)
+    return cols, coefs, slots
+
+
 def _receiver_monomial(d: int, bell: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
     """Every outcome's N_o = Phi^T R_o^T as (columns, coefficients), shape (d^2, d).
 
@@ -431,9 +472,17 @@ def _dense_scores(
 
     ``correction`` is a table's (d^2, d, d) unitaries or a named scheme's
     (columns, phases) table. Pair (k, l) reaches the receiver as C_l N_o a_k, so with
-    X_o = N_o rho N_o^dag, gathered from rho, p_o = tr(G X_o) and
-    p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi. Returns
-    the arguments of ``_scored_records`` after ``correction``.
+    X_o = N_o rho N_o^dag, p_o = tr(G X_o) and p_o F_o^2 = sum_l v_lo^dag X_o v_lo,
+    v_lo = C_l^dag u_o^dag phi. Outcomes go one crystal group m at a time:
+    N_(i,m) = Delta N_m (``_receiver_groups``), so X_m = N_m rho N_m^dag is
+    gathered from rho once per group and, with y_lo = Delta^dag v_lo,
+
+    * p_(i,m) = tr(G Delta X_m Delta^dag), one (d, d) @ (d, d) product for
+      the group's d detectors and a row-wise dot;
+    * p_o F_o^2 = sum_l y_lo^dag X_m y_lo, or, with at most d sender kets,
+      sum_(k,l) |y_lo^dag N_m a_k|^2, whose terms are never negative.
+
+    Returns the arguments of ``_scored_records`` after ``correction``.
     """
     pair = bell.reshape(d, d)
     c_stack = d * (pair.T @ ops_a2.transpose(0, 2, 1) @ pair.conj())
@@ -441,40 +490,76 @@ def _dense_scores(
     # v for every l at once is w @ c_adj, laid out (l, j)
     c_adj = c_stack.conj().transpose(1, 0, 2).reshape(d, -1)
     n_ops = len(c_stack)
-    cols, coefs = _receiver_monomial(d, bell, convention)
+    groups = _receiver_groups(d, bell, convention)
+    cols, coefs, slots = groups
+    _, phases = monomial_rows(d, convention)
     alive, rho = _sender_state(d, kets_a1)
+    # the sender kets as columns, when the form is summed over them
+    kets = alive.T if len(alive) <= d else None
 
-    probs, weighted = np.empty(d * d), np.empty(d * d)
-    # a chunk's largest arrays are X, (n, d, d), and v and X v, (n, d, L)
-    chunk = max(1, OUTCOME_CHUNK_BYTES // (d * max(d, n_ops) * np.dtype(complex).itemsize))
-    for start in range(0, d * d, chunk):
-        span = slice(start, start + chunk)
-        c, k = cols[span], coefs[span]
-        n = len(c)
+    # outcome (i, m) is row i of group m: every table is read as [m, i]
+    table = isinstance(correction, np.ndarray)
+    phases_g = _by_group(d, phases)
+    correction_g = _by_group(d, correction) if table else tuple(_by_group(d, t) for t in correction)
+    probs, weighted = np.empty((d, d)), np.empty((d, d))
+    # a group's largest arrays, live together, are y, (d, L, d), and y X_m^T
+    # or its overlaps, (d, L, min(K, d)); or a table's (d, d, d) adjoints
+    n_overlaps = d if kets is None else len(alive)
+    per_group = d * max(n_ops * (d + n_overlaps), d * d if table else 0)
+    chunk = max(1, OUTCOME_CHUNK_BYTES // (per_group * np.dtype(complex).itemsize))
+    for start in range(0, d, chunk):
+        ms = slice(start, start + chunk)
+        c, k = cols[ms], coefs[ms]
+        g = len(c)
+        delta = np.take_along_axis(phases_g[ms], slots[ms, None, :], axis=-1)
         x = rho[c[:, :, None], c[:, None, :]]
         x *= k[:, :, None]
         x *= k[:, None, :].conj()
-        probs[span] = (x.reshape(n, -1) @ gram.T.reshape(-1)).real
-        w = _apply_unitary(_outcome_unitary(correction, span), phi, adjoint=True)
-        v = (w @ c_adj).reshape(n, n_ops, d).transpose(0, 2, 1)
-        weighted[span] = np.einsum("ojl,ojl->o", v.conj(), x @ v).real
+        # p = sum_(B, B') Delta_B X_m[B, B'] G[B', B] conj(Delta_B')
+        probs[ms] = _real_dot(delta, delta @ (x * gram.T))
+        w = _apply_unitary(_outcome_unitary(correction_g, ms), phi, adjoint=True)
+        # every v_lo in one product, then y_lo = Delta^dag v_lo in place
+        y = (w.reshape(-1, d) @ c_adj).reshape(g, d, n_ops, d)
+        y *= delta[:, :, None, :].conj()
+        y = y.reshape(g, d * n_ops, d)
+        if kets is None:
+            s = y @ x.transpose(0, 2, 1)
+        else:
+            # the conjugates of y^dag N_m a_k, summed as |.|^2
+            y = s = y @ (k[:, :, None] * kets[c]).conj()
+        weighted[ms] = _real_dot(y.reshape(g, d, -1), s.reshape(g, d, -1))
+        # the next chunk's arrays then replace this one's, not join them
+        del y, s
+    probs, weighted = probs.T.reshape(-1), weighted.T.reshape(-1)
     # the weights |V|^2 this sum stands for are never negative
     np.maximum(probs, 0.0, out=probs)
     _check_probability_sum(float(probs.sum()), phi)
 
-    # p_o sums the d^2 products G_kj X_jk, over entries of rho and G that are
-    # sums of K and L d products. G and X_o are positive, so every such sum
-    # of moduli is at most tr(G) tr(X_o) = tr(G) tr(rho) / d^2, as
-    # N_o^dag N_o = I / d^2, and rounding moves p_o by at most
-    # (d^2 + K + L d) eps times that; eps, twice the unit round-off, also
-    # covers the phases and gathers. An outcome within it of zero carries no
-    # state the arithmetic resolves: it stays unscored.
-    terms = d * d + len(alive) + n_ops * d
+    # p_o sums over B' the products conj(Delta_B') (Delta Y)_B', each a sum
+    # over B of Delta_B Y[B, B'], Y[B, B'] = X_m[B, B'] G[B', B], over
+    # entries of rho and G that are sums of K and L d products. G and X_o
+    # are positive, so the sum of the moduli of the d^2 terms
+    # Delta_B Y[B, B'] conj(Delta_B') is at most tr(G) tr(X_o) =
+    # tr(G) tr(rho) / d^2, as N_o^dag N_o = I / d^2, and rounding moves p_o
+    # by at most (2 d + K + L d) eps times that; eps, twice the unit
+    # round-off, also covers the phases and gathers. An outcome within it of
+    # zero carries no state the arithmetic resolves: it stays unscored.
+    terms = 2 * d + len(alive) + n_ops * d
     roundoff = terms * np.finfo(float).eps * np.trace(gram).real * np.trace(rho).real / d**2
     scored = probs > max(WEIGHT_FLOOR, roundoff)
     # one surviving sender ket through a one-operator stack leaves a ket
     sender = alive[0] if len(alive) == 1 and n_ops == 1 else rho
-    return probs, weighted, scored, partial(_dense_state, c_stack, sender, cols, coefs)
+    return probs, weighted, scored, partial(_dense_state, c_stack, sender, groups, phases)
+
+
+def _by_group(d: int, table: np.ndarray) -> np.ndarray:
+    """A table over the d^2 outcomes, indexed i*d + m, as a view indexed [m, i]."""
+    return table.reshape(d, d, *table.shape[1:]).swapaxes(0, 1)
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_j conj(a_j) b_j over the last axis, with no complex product formed."""
+    return np.einsum("...j,...j->...", a.view(float), b.view(float))
 
 
 def _gathered_state(
@@ -504,18 +589,21 @@ def _gathered_state(
 def _dense_state(
     c_stack: np.ndarray,
     sender: np.ndarray,
-    cols: np.ndarray,
-    coefs: np.ndarray,
+    groups: tuple[np.ndarray, np.ndarray, np.ndarray],
+    phases: np.ndarray,
     o: int,
     probability: float,
     u_o: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """One dense-A2 outcome's corrected state u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag.
 
-    X_o = N_o rho N_o^dag. ``sender`` is rho, or the one surviving sender ket
+    X_o = N_o rho N_o^dag, N_o read from its crystal group's map and its
+    QFT row's ``phases``. ``sender`` is rho, or the one surviving sender ket
     a beside a one-operator stack, which gives the ket u_o C N_o a / sqrt(p_o).
     """
-    s = _apply_monomial(cols[o], coefs[o], sender)
+    cols, coefs, slots = groups
+    m = o % len(cols)
+    s = _apply_monomial(cols[m], phases[o, slots[m]] * coefs[m], sender)
     if s.ndim == 1:
         s = c_stack[0] @ s / np.sqrt(probability)
     else:

@@ -224,6 +224,27 @@ class TestKrausChannelValidation:
         with pytest.raises(CompletenessError, match="non-finite Kraus operator entry"):
             KrausChannel(d=2, operators=ops, label="bad")
 
+    def test_edits_to_the_inputs_leave_the_channel(self):
+        # the channel keeps a copy of the operators it checked
+        d = 3
+        ops = [op.copy() for op in isometry_channel(d, 2, np.random.default_rng(3)).operators]
+        ch = KrausChannel(d=d, operators=ops)
+        want = np.stack(ops)
+        config = ProtocolConfig(d=d, input_state=uniform_state(d), noise_a1=ch, noise_a2=ch)
+        before = run_protocol(config)
+        for op in ops:
+            op *= 0.5
+        assert np.array_equal(np.stack(ch.operators), want)
+        assert np.array_equal(ch.operator_stack, want)
+        after = run_protocol(config)
+        assert (after.average_fidelity, after.min_outcome_fidelity) == (
+            before.average_fidelity, before.min_outcome_fidelity
+        )
+        assert [r.probability for r in after.records] == [r.probability for r in before.records]
+        for op in ch.operators:
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 2.0
+
     def test_nested_list_operators_accepted(self):
         ch = KrausChannel(d=2, operators=([[0, 1], [1, 0]],))
         assert ch.operators[0].dtype == complex

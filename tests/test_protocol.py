@@ -1147,6 +1147,85 @@ class TestDensePath:
         assert {r.receiver_state.ndim for r in records} == {1}
         assert_records_match(records, branch_form_run(config))
 
+    @staticmethod
+    def group_bytes(d, n_kets, n_ops, table):
+        """The bytes ``_dense_scores`` counts for one crystal group's arrays.
+
+        Its (d, L, d) and (d, L, min(K, d)) arrays, or a table's (d, d, d)
+        adjoints; the test below checks the chunks this gives.
+        """
+        return 16 * d * max(n_ops * (d + min(n_kets, d)), d * d if table else 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 7),
+        scheme=st.sampled_from([DERIVED_EXACT, PAPER_WEYL, "table"]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_crystal_groups_match_branch_form(self, d, scheme, convention, data, seed):
+        # 1 to d + 2 sender kets reach both the sum over the kets and the form
+        # of rho; the a2 stack holds 1 to d + 2 operators
+        if convention == QUTRIT_ALT:
+            d = 3
+        n_kets = data.draw(st.integers(1, d + 2))
+        n_ops = data.draw(st.integers(1, d + 2))
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        rng = np.random.default_rng(seed)
+        correction = scheme
+        if scheme == "table":
+            entries = {(i, m): random_unitary(rng, d) for i in range(d) for m in range(d)}
+            correction = CorrectionTable(d=d, entries=entries)
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, seed), bell_label=label, convention=convention,
+            noise_a1=isometry_channel(d, n_kets, rng), noise_a2=isometry_channel(d, n_ops, rng),
+            correction=correction,
+        )
+        reference = branch_form_run(config)
+        scored = [r for r in reference if r.fidelity is not None]
+        avg = sum(r.probability * r.fidelity for r in scored)
+        low = min(r.fidelity for r in scored)
+        # every group in one chunk, one group per chunk, then d - 1 groups
+        # per chunk, which do not divide d > 2
+        for groups, sizes in ((d, [d]), (1, [1] * d), (d - 1, [d - 1, 1])):
+            spans = []
+            original = protocol._outcome_unitary
+
+            def spied(correction, o, _original=original):
+                if isinstance(o, slice):
+                    spans.append(min(o.stop, d) - o.start)
+                return _original(correction, o)
+
+            budget = groups * self.group_bytes(d, n_kets, n_ops, scheme == "table")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocol, "OUTCOME_CHUNK_BYTES", budget)
+                mp.setattr(protocol, "_outcome_unitary", spied)
+                res = run_protocol(config)
+            assert spans == sizes
+            # the records, each state built on read
+            assert_records_match(res.records, reference)
+            assert abs(res.average_fidelity - avg) <= 1e-12
+            assert abs(res.min_outcome_fidelity - low) <= 1e-12
+
+    @pytest.mark.parametrize("d, limit_mib", [(32, 6), (64, 18)])
+    def test_run_peak_memory(self, d, limit_mib):
+        # 16 + 16 operators, after a first run has built the cached tables
+        rng = np.random.default_rng(d)
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, d),
+            noise_a1=isometry_channel(d, 16, rng), noise_a2=isometry_channel(d, 16, rng),
+        )
+        run_protocol(config)
+        tracemalloc.start()
+        try:
+            res = run_protocol(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
+        assert peak <= limit_mib * 2**20
+
 
 class TestScoredRecords:
     """Every outcome is scored from p_o and p_o F_o^2, with no outcome state built."""
