@@ -26,17 +26,16 @@ it exactly.
 Monomial form
 -------------
 Every measurement row and every correction is a monomial matrix: d nonzero
-entries, one per row and column. Both run paths read the rows as
-``measurement.monomial_rows`` (column positions and phases, shape (d^2, d)),
-and the named schemes are tabled the same way, as (column, phase) per row of
-each outcome's unitary u, the Weyl ones by ``channels.weyl_monomial``.
-Scoring applies u^dag to phi as a scatter, (u^dag phi)_(c_k) =
-conj(phases_k) phi_k; a state read from a record is corrected by gathers,
-u psi = phases * psi[columns] and
-u rho u^dag = (phases phases^dag) * rho[columns][:, columns]. Neither builds
-a d x d unitary or runs a matrix product; only a ``CorrectionTable``, whose
-entries may be any unitaries, is applied as dense products. No run path
-builds a d^4 array: the dense rows are 268 MB at d = 64 and 4.3 GB at
+entries, one per row and column. ``measurement.monomial_rows`` holds the
+rows as column positions and phases, shape (d^2, d), and the named schemes
+are tabled the same way, as (column, phase) per row of each outcome's
+unitary u, the Weyl ones by ``channels.weyl_monomial``. Scoring applies
+u^dag to phi as a scatter, (u^dag phi)_(c_k) = conj(phases_k) phi_k; a state
+read from a record is corrected by gathers, u psi = phases * psi[columns]
+and u rho u^dag = (phases phases^dag) * rho[columns][:, columns]. Neither
+builds a d x d unitary or runs a matrix product; only a ``CorrectionTable``,
+whose entries may be any unitaries, is applied as dense products. No run
+path builds a d^4 array: the dense rows are 268 MB at d = 64 and 4.3 GB at
 d = 128.
 
 Engine
@@ -45,10 +44,18 @@ Engine
 absent channel is the identity. With Phi the Bell pair reshaped to d x d
 (A2, B) and R_o outcome o's row reshaped to d x d (A1, A2), Kraus pair
 (A_k, B_l) leaves the receiver the unnormalized ket V_(o,k,l) =
-Phi^T B_l^T R_o^T a_k, a_k = A_k phi. N_o = Phi^T R_o^T is one monomial
-matrix per outcome, every entry of modulus 1/d (``_receiver_monomial``),
-and rho = sum a_k a_k^dag runs over the sender kets whose weight
-|a_k|^2 / d^2 is above the floor. No d^3-amplitude branch ket is built.
+Phi^T B_l^T R_o^T a_k, a_k = A_k phi, and rho = sum a_k a_k^dag runs over
+the sender kets whose weight |a_k|^2 / d^2 is above the floor. No
+d^3-amplitude branch ket is built.
+
+N_o = Phi^T R_o^T is a monomial matrix, every entry of modulus 1/d, and
+both paths read it from one map (``_receiver_map``). Each crystal group m
+sends one input pair to each output path, and the QFT over the output paths
+only sets phases, so the d detectors of a group share one gather:
+N_(i,m) = Delta_(i,m) N_m, with N_m carrying the Bell pair's phases and the
+diagonal Delta_(i,m) the QFT row's. The map holds every N_m and every
+Delta, d^3 phases, cached per (d, Bell label, wiring), so no run builds a
+table of its d^2 outcomes' N_o.
 
 Both paths score every outcome by one formula: with u_o the correction and
 sigma_o the corrected state, p_o F_o^2 = p_o <phi|sigma_o|phi> is a quadratic
@@ -64,12 +71,14 @@ When A2 sees the identity (``_sender_state_scores``), V_(o,k) = N_o a_k:
 pair k weighs |a_k|^2 / d^2 in every outcome, and the mixture is
 N_o rho N_o^dag. So p_o = sum_B |N_o[B, c]|^2 n_c, n the sender kets'
 weight per level, and p_o F_o^2 = z_o^dag rho z_o with
-z_o = N_o^dag u_o^dag phi, two scatters of phi. A chunk of outcomes costs
-one (n, d) @ (d, d) product. With at most d sender kets the form is summed
-over them, p_o F_o^2 = sum_k |a_k^dag z_o|^2, whose terms are never
-negative, so a small F carries no cancellation between entries of rho. A
-state read is u_o N_o rho N_o^dag u_o^dag / p_o, a gather of rho
-(``_gathered_state``); it is a ket when one sender ket survives.
+z_o = N_o^dag u_o^dag phi, two scatters of phi. Outcomes o = i d + m go in
+chunks of detector rows i, each spanning every group, so a chunk's N_o are
+a slice of Delta times every N_m, its corrections a slice of the scheme's
+table, and it costs one (n, d) @ (d, d) product. With at most d sender kets
+the form is summed over them, p_o F_o^2 = sum_k |a_k^dag z_o|^2, whose
+terms are never negative, so a small F carries no cancellation between
+entries of rho. A state read is u_o N_o rho N_o^dag u_o^dag / p_o, a gather
+of rho (``_gathered_state``); it is a ket when one sender ket survives.
 
 A dense A2 channel moves to the receiver (``_dense_scores``; teleportation
 as a channel on the receiver, Bowen and Bose, PRL 87, 267901, 2001). Since
@@ -80,30 +89,25 @@ sum_l C_l X_o C_l^dag with X_o = N_o rho N_o^dag, and:
 * p_o = tr(G X_o), G = sum_l C_l^dag C_l;
 * p_o F_o^2 = sum_l v_lo^dag X_o v_lo, v_lo = C_l^dag u_o^dag phi.
 
-Each crystal group m sends one input pair to each output path, and the QFT
-over the output paths only sets phases, so the d detectors of a group share
-one gather: N_(i,m) = Delta_(i,m) N_m, with N_m carrying the Bell pair's
-phases and the diagonal Delta_(i,m) the QFT row's, read from
-``monomial_rows`` (``_receiver_groups``). The path gathers
-X_m = N_m rho N_m^dag once per group, d^3 entries in all, and scores the
-group's d detectors from it: p_(i,m) = tr(G Delta X_m Delta^dag) and, with
-y_lo = Delta^dag v_lo, p_o F_o^2 = sum_l y_lo^dag X_m y_lo, summed as
+The path gathers X_m = N_m rho N_m^dag once per group, d^3 entries in all,
+and scores the group's d detectors from it: p_(i,m) =
+tr(G Delta X_m Delta^dag) and, with y_lo = Delta^dag v_lo,
+p_o F_o^2 = sum_l y_lo^dag X_m y_lo, summed as
 sum_(k,l) |y_lo^dag N_m a_k|^2 over at most d sender kets. A chunk of groups
 costs one w @ c_adj product for every v_lo and one batched product against
 N_m a_k or X_m. A state read is u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag
-(``_dense_state``), N_o read from its group's map and its QFT row. It is a
-ket when one sender ket survives and the stack has one operator. p_o is a
-signed sum here, so an impossible outcome rounds to about 1e-17, not to
-zero: an outcome within the sum's rounding bound,
+(``_dense_state``). It is a ket when one sender ket survives and the stack
+has one operator. p_o is a signed sum here, so an impossible outcome rounds
+to about 1e-17, not to zero: an outcome within the sum's rounding bound,
 (2 d + K + L d) eps tr(G) tr(rho) / d^2 for K sender kets and L operators,
 of zero stays unscored.
 
-Outcomes are processed in chunks, crystal groups on the dense path, and
-OUTCOME_CHUNK_BYTES bounds every array a chunk allocates; only a single
-outcome, or group, whose own arrays exceed it goes over. The probabilities
-must sum to the weight the run carries (||phi||^2 for the input phi) within
-1e-10. An F_o^2 below zero beyond round-off is a broken invariant, not a bad
-input, and raises RuntimeError.
+Outcomes are processed in chunks, detector rows on the sender path and
+crystal groups on the dense path, and OUTCOME_CHUNK_BYTES bounds the arrays
+a chunk holds at once; only a single row, or group, whose own arrays exceed
+it goes over. The probabilities must sum to the weight the run carries
+(||phi||^2 for the input phi) within 1e-10. An F_o^2 below zero beyond
+round-off is a broken invariant, not a bad input, and raises RuntimeError.
 
 Weyl fold
 ---------
@@ -155,7 +159,7 @@ from .channels import (
 )
 from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR
 from .linalg import pure_fidelity  # not called here; perfbench's tracer wraps it under this name
-from .measurement import GENERAL, measurement_rows, monomial_rows
+from .measurement import GENERAL, crystal_pairs, measurement_rows, monomial_rows, qft
 from .states import bell_state, is_normalized
 
 __all__ = [
@@ -175,9 +179,9 @@ __all__ = [
 PAPER_WEYL = "paper-weyl"
 DERIVED_EXACT = "derived-exact"
 
-# Bounds every array either run path allocates for a chunk of outcomes; a
-# chunk holds at least one outcome, or one crystal group on the dense path,
-# whose own arrays alone may exceed it. Larger chunks save little time: a
+# Bounds the arrays either run path holds at once for a chunk of outcomes; a
+# chunk holds at least one detector row, or one crystal group on the dense
+# path, whose own arrays alone may exceed it. Larger chunks save little time: a
 # d = 32 dense-a2 run with 16 + 16 operators holds 1.5 MiB at two groups per
 # chunk and 4.9 MiB at ten, and takes 8.9 and 7.9 ms (2 vCPU).
 OUTCOME_CHUNK_BYTES = 2**20
@@ -353,48 +357,41 @@ def _sender_noise(
     return kets, noise_a2.operator_stack if dense_a2 else None
 
 
-def _receiver_groups(
-    d: int, bell: np.ndarray, convention: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each crystal group's receiver map as (columns, coefficients, slots), shape (d, d).
+@lru_cache(maxsize=1)
+def _receiver_map(
+    d: int, bell_label: tuple[int, int], convention: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Bell pair and every crystal group's receiver map, as (pair, cols, coefs, delta).
 
-    A row's positions depend only on its group m, and detector i only sets
-    the phases, QFT[i, out]. So N_(i,m) = Delta_(i,m) N_m: N_m[B, cols[m, B]]
-    = coefs[m, B] carries the Bell pair's phases alone, and the diagonal
-    Delta_(i,m)[B] = phases[i d + m, slots[m, B]] carries the QFT row's,
-    ``phases`` those of ``monomial_rows``.
+    ``pair`` is the Bell pair as d x d (A2, B). Group m's pair (out, a, b)
+    sends A1 level a to A2 level b, which the Bell pair sends to receiver
+    level B, and detector i adds the phase QFT[i, out]. So N_(i,m) =
+    Delta_(i,m) N_m, with N_m[B, cols[m, B]] = coefs[m, B] the Bell pair's
+    phase and delta[i, m, B] the QFT row's, the floats ``monomial_rows``
+    holds; all (d, d) but ``delta``, (d, d, d). Keyed on the label, so a run
+    builds no Bell pair. Returned read-only; one entry is kept, as for
+    ``_folded_sender``.
     """
-    positions, _ = monomial_rows(d, convention)
-    # row m, detector 0's row of group m: its entry j sends A1 level a to A2
-    # level b, and the Bell pair sends A2 level b to receiver level out[m, j]
-    a, b = np.divmod(positions[:d], d)
-    pair = bell.reshape(d, d)
+    pair = bell_state(d, bell_label).reshape(d, d)
+    triples = np.array([crystal_pairs(d, m, convention) for m in range(d)])
+    path, a, b = np.moveaxis(triples, -1, 0)
     out = np.abs(pair).argmax(axis=1)[b]
     m = np.arange(d)[:, None]
-    cols, coefs, slots = np.empty_like(a), np.empty(a.shape, dtype=complex), np.empty_like(a)
+    cols, paths, coefs = np.empty_like(a), np.empty_like(a), np.empty(a.shape, dtype=complex)
     cols[m, out] = a
+    paths[m, out] = path
     coefs[m, out] = pair[b, out]
-    slots[m, out] = np.arange(d)
-    return cols, coefs, slots
+    delta = qft(d)[np.arange(d)[:, None, None], paths]
+    for table in (pair, cols, coefs, delta):
+        table.setflags(write=False)
+    return pair, cols, coefs, delta
 
 
-def _receiver_monomial(d: int, bell: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every outcome's N_o = Phi^T R_o^T as (columns, coefficients), shape (d^2, d).
-
-    N_o[B, cols[o, B]] = coefs[o, B], every entry of modulus 1/d: N_o sends
-    an A1 ket to the receiver when A2 sees the identity.
-    """
-    positions, phases = monomial_rows(d, convention)
-    # row o's entry (a, b) sends A1 level a to A2 level b, and the Bell pair
-    # sends A2 level b to receiver level out[o, j]
-    a, b = np.divmod(positions, d)
-    pair = bell.reshape(d, d)
-    out = np.abs(pair).argmax(axis=1)[b]
-    o = np.arange(d * d)[:, None]
-    cols, coefs = np.empty_like(a), np.empty_like(phases)
-    cols[o, out] = a
-    coefs[o, out] = phases * pair[b, out]
-    return cols, coefs
+def _receiver(receivers: tuple[np.ndarray, ...], o: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome o's N_o as (columns, coefficients), N_o[B, columns[B]] = coefficients[B]."""
+    _, cols, coefs, delta = receivers
+    i, m = divmod(o, len(cols))
+    return cols[m], delta[i, m] * coefs[m]
 
 
 def _sender_state(d: int, kets_a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -417,55 +414,65 @@ def _check_probability_sum(total: float, phi: np.ndarray) -> None:
 def _sender_state_scores(
     d: int,
     phi: np.ndarray,
-    bell: np.ndarray,
+    receivers: tuple[np.ndarray, ...],
     kets_a1: np.ndarray,
-    convention: str,
     correction: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, partial]:
     """Every outcome's p_o and p_o F_o^2 when A2 sees the identity, with no outcome state built.
 
     Outcome o sends the A1 ket a_k to the receiver as N_o a_k, so
-    p_o = sum_B |coefs[o, B]|^2 n[cols[o, B]] with n = sum_k |a_k|^2 per
-    level, and the corrected mixture is u_o N_o rho N_o^dag u_o^dag / p_o,
-    so p_o F_o^2 = z_o^dag rho z_o with z_o = N_o^dag u_o^dag phi. With at
-    most d sender kets it is summed over them, sum_k |a_k^dag z_o|^2, whose
-    terms are never negative: a small F then carries only the rounding of
-    the overlaps, where the entries of rho can cancel. Returns the
+    p_o = sum_B |N_o[B, c_B]|^2 n[c_B] with n = sum_k |a_k|^2 per level, and
+    the corrected mixture is u_o N_o rho N_o^dag u_o^dag / p_o, so
+    p_o F_o^2 = z_o^dag rho z_o with z_o = N_o^dag u_o^dag phi. With at most
+    d sender kets it is summed over them, sum_k |a_k^dag z_o|^2, whose terms
+    are never negative: a small F then carries only the rounding of the
+    overlaps, where the entries of rho can cancel. Outcomes o = i d + m go
+    in chunks of detector rows i: every row spans the d crystal groups, so a
+    chunk's N_(i,m) = Delta_(i,m) N_m is a cached slice of Delta times every
+    group's N_m, and its corrections a slice of the table. Returns the
     arguments of ``_scored_records`` after ``correction``.
     """
-    cols, coefs = _receiver_monomial(d, bell, convention)
+    _, cols, coefs, delta = receivers
     n = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=0)
-    probs = (np.abs(coefs) ** 2 * n[cols]).sum(axis=1)
-    _check_probability_sum(float(probs.sum()), phi)
     alive, rho = _sender_state(d, kets_a1)
 
-    weighted = np.empty(d * d)
+    probs, weighted = np.empty((d, d)), np.empty(d * d)
     kets_adj = alive.conj().T if len(alive) <= d else None
-    # a chunk's largest arrays are z and z^dag rho, (n, d), or a table's (n, d, d) adjoints
-    per_outcome = d * (d if isinstance(correction, np.ndarray) else 1)
-    chunk = max(1, OUTCOME_CHUNK_BYTES // (per_outcome * np.dtype(complex).itemsize))
-    for start in range(0, d * d, chunk):
-        span = slice(start, start + chunk)
-        w = _apply_unitary(_outcome_unitary(correction, span), phi, adjoint=True)
-        z = _apply_unitary((cols[span], coefs[span]), w, adjoint=True)
-        # the chunk then holds no more than three (n, d) arrays at once
-        del w
+    # a row's arrays live at once are at most three (d, d) ones, or a
+    # table's (d, d, d) adjoints and u^dag phi
+    per_row = d * d * (d + 1 if isinstance(correction, np.ndarray) else 3)
+    rows = max(1, OUTCOME_CHUNK_BYTES // (per_row * np.dtype(complex).itemsize))
+    for start in range(0, d, rows):
+        span, outcomes = slice(start, start + rows), slice(start * d, (start + rows) * d)
+        w = _apply_unitary(_outcome_unitary(correction, outcomes), phi, adjoint=True)
+        # the chunk's coefficients of every N_o, Delta_o k_m
+        k = delta[span] * coefs
+        probs[span] = (np.abs(k) ** 2 * n[cols]).sum(axis=-1)
+        # z = N^dag w scatters conj(k) w to the columns
+        np.conjugate(k, out=k)
+        k *= w.reshape(k.shape)
+        z = np.empty_like(k)
+        np.put_along_axis(z, cols[None], k, axis=-1)
+        z = z.reshape(-1, d)
+        # z^dag rho, or the overlaps, then join z alone
+        del w, k
         if kets_adj is None:
-            weighted[span] = np.einsum("oj,oj->o", z.conj() @ rho, z).real
+            weighted[outcomes] = np.einsum("oj,oj->o", z.conj() @ rho, z).real
         else:
             overlaps = z @ kets_adj
-            weighted[span] = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+            weighted[outcomes] = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    probs = probs.reshape(-1)
+    _check_probability_sum(float(probs.sum()), phi)
     sender = alive[0] if len(alive) == 1 else rho
-    return probs, weighted, probs > WEIGHT_FLOOR, partial(_gathered_state, sender, cols, coefs)
+    return probs, weighted, probs > WEIGHT_FLOOR, partial(_gathered_state, sender, receivers)
 
 
 def _dense_scores(
     d: int,
     phi: np.ndarray,
-    bell: np.ndarray,
+    receivers: tuple[np.ndarray, ...],
     kets_a1: np.ndarray,
     ops_a2: np.ndarray,
-    convention: str,
     correction: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, partial]:
     """Every outcome's p_o and p_o F_o^2 under a dense A2 channel, with no outcome state built.
@@ -474,7 +481,7 @@ def _dense_scores(
     (columns, phases) table. Pair (k, l) reaches the receiver as C_l N_o a_k, so with
     X_o = N_o rho N_o^dag, p_o = tr(G X_o) and p_o F_o^2 = sum_l v_lo^dag X_o v_lo,
     v_lo = C_l^dag u_o^dag phi. Outcomes go one crystal group m at a time:
-    N_(i,m) = Delta N_m (``_receiver_groups``), so X_m = N_m rho N_m^dag is
+    N_(i,m) = Delta N_m (``_receiver_map``), so X_m = N_m rho N_m^dag is
     gathered from rho once per group and, with y_lo = Delta^dag v_lo,
 
     * p_(i,m) = tr(G Delta X_m Delta^dag), one (d, d) @ (d, d) product for
@@ -484,22 +491,19 @@ def _dense_scores(
 
     Returns the arguments of ``_scored_records`` after ``correction``.
     """
-    pair = bell.reshape(d, d)
+    pair, cols, coefs, delta = receivers
     c_stack = d * (pair.T @ ops_a2.transpose(0, 2, 1) @ pair.conj())
     gram = (c_stack.conj().transpose(0, 2, 1) @ c_stack).sum(axis=0)
     # v for every l at once is w @ c_adj, laid out (l, j)
     c_adj = c_stack.conj().transpose(1, 0, 2).reshape(d, -1)
     n_ops = len(c_stack)
-    groups = _receiver_groups(d, bell, convention)
-    cols, coefs, slots = groups
-    _, phases = monomial_rows(d, convention)
     alive, rho = _sender_state(d, kets_a1)
     # the sender kets as columns, when the form is summed over them
     kets = alive.T if len(alive) <= d else None
 
     # outcome (i, m) is row i of group m: every table is read as [m, i]
     table = isinstance(correction, np.ndarray)
-    phases_g = _by_group(d, phases)
+    delta_g = delta.swapaxes(0, 1)
     correction_g = _by_group(d, correction) if table else tuple(_by_group(d, t) for t in correction)
     probs, weighted = np.empty((d, d)), np.empty((d, d))
     # a group's largest arrays, live together, are y, (d, L, d), and y X_m^T
@@ -511,7 +515,7 @@ def _dense_scores(
         ms = slice(start, start + chunk)
         c, k = cols[ms], coefs[ms]
         g = len(c)
-        delta = np.take_along_axis(phases_g[ms], slots[ms, None, :], axis=-1)
+        delta = delta_g[ms]
         x = rho[c[:, :, None], c[:, None, :]]
         x *= k[:, :, None]
         x *= k[:, None, :].conj()
@@ -549,7 +553,7 @@ def _dense_scores(
     scored = probs > max(WEIGHT_FLOOR, roundoff)
     # one surviving sender ket through a one-operator stack leaves a ket
     sender = alive[0] if len(alive) == 1 and n_ops == 1 else rho
-    return probs, weighted, scored, partial(_dense_state, c_stack, sender, groups, phases)
+    return probs, weighted, scored, partial(_dense_state, c_stack, sender, receivers)
 
 
 def _by_group(d: int, table: np.ndarray) -> np.ndarray:
@@ -564,8 +568,7 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gathered_state(
     sender: np.ndarray,
-    cols: np.ndarray,
-    coefs: np.ndarray,
+    receivers: tuple[np.ndarray, ...],
     o: int,
     probability: float,
     u_o: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -576,7 +579,7 @@ def _gathered_state(
     ket u_o N_o a / |N_o a|: p_o also counts the sender kets under the
     floor, so a ket takes its own norm.
     """
-    c, k = cols[o], coefs[o]
+    c, k = _receiver(receivers, o)
     if sender.ndim == 1:
         s = k * sender[c]
         s /= np.sqrt((s.real**2 + s.imag**2).sum())
@@ -589,21 +592,18 @@ def _gathered_state(
 def _dense_state(
     c_stack: np.ndarray,
     sender: np.ndarray,
-    groups: tuple[np.ndarray, np.ndarray, np.ndarray],
-    phases: np.ndarray,
+    receivers: tuple[np.ndarray, ...],
     o: int,
     probability: float,
     u_o: np.ndarray | tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """One dense-A2 outcome's corrected state u_o (sum_l C_l X_o C_l^dag / p_o) u_o^dag.
 
-    X_o = N_o rho N_o^dag, N_o read from its crystal group's map and its
-    QFT row's ``phases``. ``sender`` is rho, or the one surviving sender ket
-    a beside a one-operator stack, which gives the ket u_o C N_o a / sqrt(p_o).
+    X_o = N_o rho N_o^dag, N_o read from its crystal group's map. ``sender``
+    is rho, or the one surviving sender ket a beside a one-operator stack,
+    which gives the ket u_o C N_o a / sqrt(p_o).
     """
-    cols, coefs, slots = groups
-    m = o % len(cols)
-    s = _apply_monomial(cols[m], phases[o, slots[m]] * coefs[m], sender)
+    s = _apply_monomial(*_receiver(receivers, o), sender)
     if s.ndim == 1:
         s = c_stack[0] @ s / np.sqrt(probability)
     else:
@@ -854,7 +854,7 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
                 f"{target} channel has dimension {channel.d}, the run has dimension {d}"
             )
 
-    bell = bell_state(d, config.bell_label)
+    receivers = _receiver_map(d, tuple(config.bell_label), config.convention)
     kets_a1, ops_a2 = _sender_noise(d, phi, *noise)
     correction = config.correction
     if isinstance(correction, CorrectionTable):
@@ -863,9 +863,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     else:
         correction = _scheme_table(d, correction, config.convention)
     if ops_a2 is None:
-        scores = _sender_state_scores(d, phi, bell, kets_a1, config.convention, correction)
+        scores = _sender_state_scores(d, phi, receivers, kets_a1, correction)
     else:
-        scores = _dense_scores(d, phi, bell, kets_a1, ops_a2, config.convention, correction)
+        scores = _dense_scores(d, phi, receivers, kets_a1, ops_a2, correction)
     build, avg, min_fid = _scored_records(d, correction, *scores)
     return _built_on_read(
         _LazyResult, build, config=config, average_fidelity=avg, min_outcome_fidelity=min_fid

@@ -796,9 +796,10 @@ class TestOutcomeMapEngine:
             ch = isometry_channel(d, 2, np.random.default_rng(7))
         else:
             ch = crosstalk_channel(d, 0.3, WEYL)
-        positions, phases = monomial_rows(d, GENERAL)
-        corrupted = (positions, 1.01 * phases)
-        monkeypatch.setattr(protocol, "monomial_rows", lambda d, convention: corrupted)
+        # every QFT phase of the cached receiver map off by 1 %
+        pair, cols, coefs, delta = protocol._receiver_map(d, (0, 0), GENERAL)
+        corrupted = (pair, cols, coefs, 1.01 * delta)
+        monkeypatch.setattr(protocol, "_receiver_map", lambda d, label, convention: corrupted)
         with pytest.raises(RuntimeError, match="probabilities do not sum"):
             run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
 
@@ -943,9 +944,20 @@ def gathered_records(d, bell, kets, convention):
 
     Outcome o's state is N_o rho N_o^dag / p_o, or N_o a / |N_o a| for one
     surviving sender ket a, gathered in the order a record's state is built
-    on read, so both carry the same bits.
+    on read, so both carry the same bits. Every outcome's N_o = Phi^T R_o^T
+    is built here from its measurement row and the Bell pair, independently
+    of the run's per-group receiver map.
     """
-    cols, coefs = protocol._receiver_monomial(d, bell, convention)
+    positions, phases = monomial_rows(d, convention)
+    # row o's entry (a, b) sends A1 level a to A2 level b, and the Bell pair
+    # sends A2 level b to receiver level out[o, j]
+    a, b = np.divmod(positions, d)
+    pair = bell.reshape(d, d)
+    out = np.abs(pair).argmax(axis=1)[b]
+    o = np.arange(d * d)[:, None]
+    cols, coefs = np.empty_like(a), np.empty_like(phases)
+    cols[o, out] = a
+    coefs[o, out] = phases * pair[b, out]
     alive, rho = protocol._sender_state(d, kets)
     n = (kets.real**2 + kets.imag**2).sum(axis=0)
     probs = (np.abs(coefs) ** 2 * n[cols]).sum(axis=1)
@@ -1056,6 +1068,94 @@ class TestSenderStatePath:
         path = "_dense_scores" if pair_path else "_sender_state_scores"
         assert paths == [path, "_scored_records"]
         assert_records_match(records, branch_form_run(config))
+
+    @staticmethod
+    def row_bytes(d, table):
+        """The bytes ``_sender_state_scores`` counts for one detector row's arrays.
+
+        Three (d, d) arrays, or a table's (d, d, d) adjoints and u^dag phi;
+        the test below checks the chunks this gives.
+        """
+        return 16 * d * d * (d + 1 if table else 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 7),
+        scheme=st.sampled_from([DERIVED_EXACT, PAPER_WEYL, "table"]),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_detector_rows_match_branch_form(self, d, scheme, convention, data, seed):
+        # 1 to d + 2 sender kets reach both the sum over the kets and the form of rho
+        if convention == QUTRIT_ALT:
+            d = 3
+        n_kets = data.draw(st.integers(1, d + 2))
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        rng = np.random.default_rng(seed)
+        correction = scheme
+        if scheme == "table":
+            entries = {(i, m): random_unitary(rng, d) for i in range(d) for m in range(d)}
+            correction = CorrectionTable(d=d, entries=entries)
+        phi = random_pure_state(d, seed)
+        a1 = isometry_channel(d, n_kets, rng)
+        config = ProtocolConfig(
+            d=d, input_state=phi, bell_label=label, convention=convention, noise_a1=a1,
+            correction=correction,
+        )
+        reference = branch_form_run(config)
+        scored = [r for r in reference if r.fidelity is not None]
+        avg = sum(r.probability * r.fidelity for r in scored)
+        low = min(r.fidelity for r in scored)
+        # each state gathered outcome by outcome and corrected as a record corrects it
+        kets, _ = protocol._sender_noise(d, phi, a1, None)
+        gathered = gathered_records(d, bell_state(d, label), kets, convention)
+        if scheme == "table":
+            unitaries = [correction.entries[divmod(o, d)] for o in range(d * d)]
+        else:
+            columns, phases = protocol._scheme_table(d, scheme, convention)
+            unitaries = list(zip(columns, phases))
+        # every row in one chunk, one row per chunk, then d - 1 rows per
+        # chunk, which do not divide d > 2
+        for rows, sizes in ((d, [d]), (1, [1] * d), (d - 1, [d - 1, 1])):
+            spans = []
+            original = protocol._outcome_unitary
+
+            def spied(correction, o, _original=original):
+                if isinstance(o, slice):
+                    spans.append((min(o.stop, d * d) - o.start) // d)
+                return _original(correction, o)
+
+            budget = rows * self.row_bytes(d, scheme == "table")
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocol, "OUTCOME_CHUNK_BYTES", budget)
+                mp.setattr(protocol, "_outcome_unitary", spied)
+                res = run_protocol(config)
+            assert spans == sizes
+            assert_records_match(res.records, reference)
+            assert abs(res.average_fidelity - avg) <= 1e-12
+            assert abs(res.min_outcome_fidelity - low) <= 1e-12
+            # the states read on demand carry the bits of the outcome-by-outcome gathers
+            for got, want, u in zip(res.records, gathered, unitaries, strict=True):
+                assert got.probability == want.probability
+                assert_same_floats(
+                    got.receiver_state, protocol._apply_unitary(u, want.receiver_state)
+                )
+
+    @pytest.mark.parametrize("d, limit_mib", [(32, 3.4), (64, 16)])
+    def test_run_peak_memory(self, d, limit_mib):
+        # Weyl noise on both sender qudits, after a first run has built the cached tables
+        ch = crosstalk_channel(d, 0.1, WEYL)
+        config = ProtocolConfig(d=d, input_state=random_pure_state(d, d), noise_a1=ch, noise_a2=ch)
+        run_protocol(config)
+        tracemalloc.start()
+        try:
+            res = run_protocol(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(sum(r.probability for r in res.records) - 1.0) < 1e-10
+        assert peak <= limit_mib * 2**20
 
 
 class TestDensePath:
