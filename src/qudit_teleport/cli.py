@@ -409,8 +409,10 @@ def _large_dim_warning(config: SweepConfig) -> str | None:
 
     At the largest d and p, those are the sender kets the noise folds into,
     one per label of the folded table Q, counted from the channel's label
-    table with no operator built, and the (d^2, d) outcome tables. The run
-    builds no outcome state; no other array grows with d^3 or the noise.
+    table with no operator built, and the fold's cached columns and
+    coefficients, one row of each per ket. The run builds no outcome state;
+    its other tables are (d, d), and no other array grows with d^3 or the
+    noise.
     """
     big = [d for d in config.dims if d > RUNTIME_WARN_DIM]
     if not big:
@@ -419,12 +421,12 @@ def _large_dim_warning(config: SweepConfig) -> str | None:
     weights = crosstalk_channel(d, p, config.noise).weyl_weights
     tables = (weights if t in config.noise_targets else None for t in ("a1", "a2"))
     kets = np.count_nonzero(_fold_weyl_weights(d, *tables))
-    amplitude = np.dtype(complex).itemsize
+    amplitudes = _format_bytes(kets * d * np.dtype(complex).itemsize)
     return (
         f"warning: exact enumeration scales steeply; dims {big} may take a long time; "
         f"at d = {d}, p = {p:g} the run holds {kets} folded sender {'ket' if kets == 1 else 'kets'} "
-        f"of {d} amplitudes, {_format_bytes(kets * d * amplitude)}, beside its "
-        f"({d * d}, {d}) outcome tables, {_format_bytes(d**3 * amplitude)} each"
+        f"of {d} amplitudes, {amplitudes}, beside the fold's cached columns and coefficients, "
+        f"{_format_bytes(kets * d * np.dtype(np.intp).itemsize)} and {amplitudes}"
     )
 
 

@@ -11,12 +11,14 @@ M_(i,m) = |i><i| QFT M_m and the rank-1 POVM elements Pi_(i,m).
 Because each group sends one input pair to each output path and the QFT
 only adds phases, the single nonzero row of M_(i,m) has exactly d nonzero
 entries, each of modulus 1/sqrt(d): reshaped to d x d over (A1, A2) it is a
-monomial matrix. ``monomial_rows`` stores every outcome in that form, as
-column positions a*d + b and phases QFT[i, output path], two arrays of shape
-(d^2, d) that cost O(d^3) memory. The simulator's run paths read only this
-form; ``measurement_rows``, ``measurement_row`` and ``povm_elements`` build
-the dense d^2-column rows from it on demand, for inspection and tests (the
-full dense block is d^4 amplitudes: 4 GB at d = 128).
+monomial matrix. ``crystal_wiring`` returns every group's accepted pairs
+as one checked (d, d, 3) array, and the simulator's run paths build their
+per-group tables from it. ``monomial_rows`` stores every outcome in monomial
+form, as column positions a*d + b and phases QFT[i, output path], two arrays
+of shape (d^2, d) that cost O(d^3) memory; ``measurement_rows``,
+``measurement_row`` and ``povm_elements`` build the dense d^2-column rows
+from it on demand, for inspection and tests (the full dense block is d^4
+amplitudes: 4 GB at d = 128). No run path calls these four.
 
 Two crystal wirings are provided: the "general" convention valid for any d,
 and "qutrit-alt", an alternate explicit wiring for d = 3 that also partitions
@@ -36,6 +38,7 @@ __all__ = [
     "CrystalOperator",
     "crystal_operator",
     "crystal_pairs",
+    "crystal_wiring",
     "qft",
     "monomial_rows",
     "measurement_row",
@@ -109,6 +112,21 @@ def qft(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * ((x * y) % d) / d) / np.sqrt(d)
 
 
+def crystal_wiring(d: int, convention: str = GENERAL) -> np.ndarray:
+    """Every crystal group's accepted (output path, a, b) triples, shape (d, d, 3).
+
+    Entry [m, k] is group m's k-th triple from ``crystal_pairs``. Checked on
+    each call: every group uses each output path, A1 level and A2 level
+    once, and the d groups partition the d^2 input pairs, so every
+    composite row reshaped over (A1, A2) is a monomial matrix.
+    """
+    groups = [crystal_pairs(d, m, convention) for m in range(d)]
+    each_once = all(sorted(levels) == list(range(d)) for g in groups for levels in zip(*g))
+    if not each_once or len({(a, b) for g in groups for _, a, b in g}) != d * d:
+        raise RuntimeError("crystal operator construction violated its invariants")
+    return np.array(groups)
+
+
 @lru_cache(maxsize=32)
 def monomial_rows(d: int, convention: str = GENERAL) -> tuple[np.ndarray, np.ndarray]:
     """Every composite measurement row as (positions, phases), indexed by i*d + m.
@@ -119,13 +137,7 @@ def monomial_rows(d: int, convention: str = GENERAL) -> tuple[np.ndarray, np.nda
     the dense row holds. Both arrays have shape (d^2, d); cached per
     (d, convention) and returned read-only.
     """
-    groups = [crystal_pairs(d, m, convention) for m in range(d)]
-    accepted = {(a, b) for group in groups for _, a, b in group}
-    # each group uses every output path once, and the groups partition the pairs
-    if len(accepted) != d * d or any(sorted(t[0] for t in g) != list(range(d)) for g in groups):
-        raise RuntimeError("crystal operator construction violated its invariants")
-    triples = np.array(groups)
-    out, a, b = triples[..., 0], triples[..., 1], triples[..., 2]
+    out, a, b = np.moveaxis(crystal_wiring(d, convention), -1, 0)
     positions = np.tile(a * d + b, (d, 1))
     phases = qft(d)[:, out].reshape(d * d, d)
     positions.setflags(write=False)

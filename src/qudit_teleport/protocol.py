@@ -26,10 +26,15 @@ it exactly.
 Monomial form
 -------------
 Every measurement row and every correction is a monomial matrix: d nonzero
-entries, one per row and column. ``measurement.monomial_rows`` holds the
-rows as column positions and phases, shape (d^2, d), and the named schemes
-are tabled the same way, as (column, phase) per row of each outcome's
-unitary u, the Weyl ones by ``channels.weyl_monomial``. Scoring applies
+entries, one per row and column. Crystal group m fixes where the entries
+sit and detector row i only sets phases, so every run-path monomial is kept
+per group: (d, d) columns indexed by m, and phases indexed by (i, m). The
+receiver map below is one; a named scheme's unitaries are the other
+(``_scheme_table``, the Weyl ones by ``channels.weyl_monomial``): row k of
+outcome (i, m)'s u holds phases[i, m, k] at column columns[m, k]. In the
+general wiring the phases do not depend on m and are a broadcast view of
+one (d, d) table. Both share one cache rule, 32 entries, and no run reads
+``measurement.monomial_rows``. Scoring applies
 u^dag to phi as a scatter, (u^dag phi)_(c_k) = conj(phases_k) phi_k; a state
 read from a record is corrected by gathers, u psi = phases * psi[columns]
 and u rho u^dag = (phases phases^dag) * rho[columns][:, columns]. Neither
@@ -53,9 +58,10 @@ both paths read it from one map (``_receiver_map``). Each crystal group m
 sends one input pair to each output path, and the QFT over the output paths
 only sets phases, so the d detectors of a group share one gather:
 N_(i,m) = Delta_(i,m) N_m, with N_m carrying the Bell pair's phases and the
-diagonal Delta_(i,m) the QFT row's. The map holds every N_m and every
-Delta, d^3 phases, cached per (d, Bell label, wiring), so no run builds a
-table of its d^2 outcomes' N_o.
+diagonal Delta_(i,m) the QFT row's. The map holds every N_m, each pair's
+output path and the QFT, all (d, d), cached per (d, Bell label, wiring); a
+chunk of outcomes gathers its own Delta, so no run builds a table of its
+d^2 outcomes' N_o and no cache holds d^3 phases.
 
 Both paths score every outcome by one formula: with u_o the correction and
 sigma_o the corrected state, p_o F_o^2 = p_o <phi|sigma_o|phi> is a quadratic
@@ -73,8 +79,8 @@ N_o rho N_o^dag. So p_o = sum_B |N_o[B, c]|^2 n_c, n the sender kets'
 weight per level, and p_o F_o^2 = z_o^dag rho z_o with
 z_o = N_o^dag u_o^dag phi, two scatters of phi. Outcomes o = i d + m go in
 chunks of detector rows i, each spanning every group, so a chunk's N_o are
-a slice of Delta times every N_m, its corrections a slice of the scheme's
-table, and it costs one (n, d) @ (d, d) product. With at most d sender kets
+its rows of Delta times every N_m, its corrections a slice of the scheme's
+phases, and it costs one (n, d) @ (d, d) product. With at most d sender kets
 the form is summed over them, p_o F_o^2 = sum_k |a_k^dag z_o|^2, whose
 terms are never negative, so a small F carries no cancellation between
 entries of rho. A state read is u_o N_o rho N_o^dag u_o^dag / p_o, a gather
@@ -159,7 +165,7 @@ from .channels import (
 )
 from .linalg import ROUNDOFF_TOL, WEIGHT_FLOOR
 from .linalg import pure_fidelity  # not called here; perfbench's tracer wraps it under this name
-from .measurement import GENERAL, crystal_pairs, measurement_rows, monomial_rows, qft
+from .measurement import GENERAL, crystal_wiring, measurement_rows, qft
 from .states import bell_state, is_normalized
 
 __all__ = [
@@ -357,41 +363,38 @@ def _sender_noise(
     return kets, noise_a2.operator_stack if dense_a2 else None
 
 
-@lru_cache(maxsize=1)
-def _receiver_map(
-    d: int, bell_label: tuple[int, int], convention: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The Bell pair and every crystal group's receiver map, as (pair, cols, coefs, delta).
+@lru_cache(maxsize=32)
+def _receiver_map(d: int, bell_label: tuple[int, int], convention: str) -> tuple[np.ndarray, ...]:
+    """The Bell pair and every crystal group's receiver map, as (pair, cols, coefs, paths, q).
 
-    ``pair`` is the Bell pair as d x d (A2, B). Group m's pair (out, a, b)
+    ``pair`` is the Bell pair as d x d (A2, B). Group m's pair (path, a, b)
     sends A1 level a to A2 level b, which the Bell pair sends to receiver
-    level B, and detector i adds the phase QFT[i, out]. So N_(i,m) =
+    level B, and detector i adds the phase QFT[i, path]. So N_(i,m) =
     Delta_(i,m) N_m, with N_m[B, cols[m, B]] = coefs[m, B] the Bell pair's
-    phase and delta[i, m, B] the QFT row's, the floats ``monomial_rows``
-    holds; all (d, d) but ``delta``, (d, d, d). Keyed on the label, so a run
-    builds no Bell pair. Returned read-only; one entry is kept, as for
-    ``_folded_sender``.
+    phase and Delta_(i,m)[B] = q[i, paths[m, B]] the QFT row's, ``q`` the
+    QFT: the floats ``monomial_rows`` holds. All five are (d, d), and a
+    chunk of outcomes gathers its own rows of Delta. Keyed on the label, so
+    a run builds no Bell pair; returned read-only.
     """
     pair = bell_state(d, bell_label).reshape(d, d)
-    triples = np.array([crystal_pairs(d, m, convention) for m in range(d)])
-    path, a, b = np.moveaxis(triples, -1, 0)
+    path, a, b = np.moveaxis(crystal_wiring(d, convention), -1, 0)
     out = np.abs(pair).argmax(axis=1)[b]
     m = np.arange(d)[:, None]
     cols, paths, coefs = np.empty_like(a), np.empty_like(a), np.empty(a.shape, dtype=complex)
     cols[m, out] = a
     paths[m, out] = path
     coefs[m, out] = pair[b, out]
-    delta = qft(d)[np.arange(d)[:, None, None], paths]
-    for table in (pair, cols, coefs, delta):
+    tables = (pair, cols, coefs, paths, qft(d))
+    for table in tables:
         table.setflags(write=False)
-    return pair, cols, coefs, delta
+    return tables
 
 
 def _receiver(receivers: tuple[np.ndarray, ...], o: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcome o's N_o as (columns, coefficients), N_o[B, columns[B]] = coefficients[B]."""
-    _, cols, coefs, delta = receivers
+    _, cols, coefs, paths, q = receivers
     i, m = divmod(o, len(cols))
-    return cols[m], delta[i, m] * coefs[m]
+    return cols[m], q[i, paths[m]] * coefs[m]
 
 
 def _sender_state(d: int, kets_a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -401,7 +404,9 @@ def _sender_state(d: int, kets_a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sender kets, on both paths.
     """
     weights = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=1)
-    alive = kets_a1[weights / d**2 > WEIGHT_FLOOR]
+    keep = weights / d**2 > WEIGHT_FLOOR
+    # every Weyl run at p > 0 keeps them all: no copy then
+    alive = kets_a1 if keep.all() else kets_a1[keep]
     return alive, alive.T @ alive.conj()
 
 
@@ -428,11 +433,11 @@ def _sender_state_scores(
     are never negative: a small F then carries only the rounding of the
     overlaps, where the entries of rho can cancel. Outcomes o = i d + m go
     in chunks of detector rows i: every row spans the d crystal groups, so a
-    chunk's N_(i,m) = Delta_(i,m) N_m is a cached slice of Delta times every
-    group's N_m, and its corrections a slice of the table. Returns the
-    arguments of ``_scored_records`` after ``correction``.
+    chunk's N_(i,m) = Delta_(i,m) N_m is its rows of Delta, gathered from
+    the QFT, times every group's N_m, and its corrections a slice of the
+    table. Returns the arguments of ``_scored_records`` after ``correction``.
     """
-    _, cols, coefs, delta = receivers
+    _, cols, coefs, paths, q = receivers
     n = (kets_a1.real**2 + kets_a1.imag**2).sum(axis=0)
     alive, rho = _sender_state(d, kets_a1)
 
@@ -444,13 +449,14 @@ def _sender_state_scores(
     rows = max(1, OUTCOME_CHUNK_BYTES // (per_row * np.dtype(complex).itemsize))
     for start in range(0, d, rows):
         span, outcomes = slice(start, start + rows), slice(start * d, (start + rows) * d)
-        w = _apply_unitary(_outcome_unitary(correction, outcomes), phi, adjoint=True)
+        w = _apply_unitary(_outcome_unitary(correction, span, slice(None)), phi, adjoint=True)
         # the chunk's coefficients of every N_o, Delta_o k_m
-        k = delta[span] * coefs
+        k = q[span].take(paths, axis=1)
+        k *= coefs
         probs[span] = (np.abs(k) ** 2 * n[cols]).sum(axis=-1)
         # z = N^dag w scatters conj(k) w to the columns
         np.conjugate(k, out=k)
-        k *= w.reshape(k.shape)
+        k *= w
         z = np.empty_like(k)
         np.put_along_axis(z, cols[None], k, axis=-1)
         z = z.reshape(-1, d)
@@ -489,9 +495,10 @@ def _dense_scores(
     * p_o F_o^2 = sum_l y_lo^dag X_m y_lo, or, with at most d sender kets,
       sum_(k,l) |y_lo^dag N_m a_k|^2, whose terms are never negative.
 
-    Returns the arguments of ``_scored_records`` after ``correction``.
+    A chunk of groups gathers its own Delta from the QFT. Returns the
+    arguments of ``_scored_records`` after ``correction``.
     """
-    pair, cols, coefs, delta = receivers
+    pair, cols, coefs, paths, q = receivers
     c_stack = d * (pair.T @ ops_a2.transpose(0, 2, 1) @ pair.conj())
     gram = (c_stack.conj().transpose(0, 2, 1) @ c_stack).sum(axis=0)
     # v for every l at once is w @ c_adj, laid out (l, j)
@@ -501,10 +508,7 @@ def _dense_scores(
     # the sender kets as columns, when the form is summed over them
     kets = alive.T if len(alive) <= d else None
 
-    # outcome (i, m) is row i of group m: every table is read as [m, i]
     table = isinstance(correction, np.ndarray)
-    delta_g = delta.swapaxes(0, 1)
-    correction_g = _by_group(d, correction) if table else tuple(_by_group(d, t) for t in correction)
     probs, weighted = np.empty((d, d)), np.empty((d, d))
     # a group's largest arrays, live together, are y, (d, L, d), and y X_m^T
     # or its overlaps, (d, L, min(K, d)); or a table's (d, d, d) adjoints
@@ -515,15 +519,16 @@ def _dense_scores(
         ms = slice(start, start + chunk)
         c, k = cols[ms], coefs[ms]
         g = len(c)
-        delta = delta_g[ms]
+        # outcome (i, m) is row i of group m: the chunk's Delta is read as [m, i]
+        delta = q.take(paths[ms], axis=1).swapaxes(0, 1)
         x = rho[c[:, :, None], c[:, None, :]]
         x *= k[:, :, None]
         x *= k[:, None, :].conj()
         # p = sum_(B, B') Delta_B X_m[B, B'] G[B', B] conj(Delta_B')
         probs[ms] = _real_dot(delta, delta @ (x * gram.T))
-        w = _apply_unitary(_outcome_unitary(correction_g, ms), phi, adjoint=True)
-        # every v_lo in one product, then y_lo = Delta^dag v_lo in place
-        y = (w.reshape(-1, d) @ c_adj).reshape(g, d, n_ops, d)
+        w = _apply_unitary(_outcome_unitary(correction, slice(None), ms), phi, adjoint=True)
+        # every v_lo in one product, read as [m, i], then y_lo = Delta^dag v_lo in place
+        y = (w.swapaxes(0, 1).reshape(-1, d) @ c_adj).reshape(g, d, n_ops, d)
         y *= delta[:, :, None, :].conj()
         y = y.reshape(g, d * n_ops, d)
         if kets is None:
@@ -533,7 +538,7 @@ def _dense_scores(
             y = s = y @ (k[:, :, None] * kets[c]).conj()
         weighted[ms] = _real_dot(y.reshape(g, d, -1), s.reshape(g, d, -1))
         # the next chunk's arrays then replace this one's, not join them
-        del y, s
+        del delta, x, w, y, s
     probs, weighted = probs.T.reshape(-1), weighted.T.reshape(-1)
     # the weights |V|^2 this sum stands for are never negative
     np.maximum(probs, 0.0, out=probs)
@@ -554,11 +559,6 @@ def _dense_scores(
     # one surviving sender ket through a one-operator stack leaves a ket
     sender = alive[0] if len(alive) == 1 and n_ops == 1 else rho
     return probs, weighted, scored, partial(_dense_state, c_stack, sender, receivers)
-
-
-def _by_group(d: int, table: np.ndarray) -> np.ndarray:
-    """A table over the d^2 outcomes, indexed i*d + m, as a view indexed [m, i]."""
-    return table.reshape(d, d, *table.shape[1:]).swapaxes(0, 1)
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -647,14 +647,16 @@ def _records(
     state: partial,
 ) -> list[OutcomeRecord]:
     """Every outcome's record, in outcome order; a scored one builds its state on first read."""
-    records = []
+    # one block of the final size: the blocks that appends free on the way
+    # fragment the heap of a caller that keeps arrays between reads
+    records = [None] * (d * d)
     for o, (p, f, keep) in enumerate(zip(probs.tolist(), fids.tolist(), scored.tolist())):
         i, m = divmod(o, d)
         if keep:
-            build = partial(state, o, p, _outcome_unitary(correction, o))
-            records.append(_built_on_read(_LazyRecord, build, i=i, m=m, probability=p, fidelity=f))
+            build = partial(state, o, p, _outcome_unitary(correction, i, m))
+            records[o] = _built_on_read(_LazyRecord, build, i=i, m=m, probability=p, fidelity=f)
         else:
-            records.append(OutcomeRecord(i, m, p, np.zeros(d, dtype=complex)))
+            records[o] = OutcomeRecord(i, m, p, np.zeros(d, dtype=complex))
     return records
 
 
@@ -751,32 +753,33 @@ class _LazyResult(ProtocolResult):
 
 @lru_cache(maxsize=32)
 def _scheme_table(d: int, scheme: str, convention: str) -> tuple[np.ndarray, np.ndarray]:
-    """A named scheme's d^2 monomial unitaries as (columns, phases), indexed by i*d + m.
+    """A named scheme's d^2 monomial unitaries as (columns, phases), in crystal-group form.
 
-    Outcome o's unitary holds phases[o, k] at row k, column columns[o, k].
-    Both arrays have shape (d^2, d) and are returned read-only.
+    Outcome (i, m)'s unitary holds phases[i, m, k] at row k, column
+    columns[m, k]: the columns are (d, d) and the phases (d, d, d). In the
+    general wiring a phase does not depend on m, and the phases are a
+    broadcast view of one (d, d) table. Returned read-only.
     """
-    i, m = np.divmod(np.arange(d * d), d)
+    k = np.arange(d)
     if scheme == PAPER_WEYL:
-        columns, phases = weyl_monomial(d, i, m)
+        columns, phases = weyl_monomial(d, k, k)
     elif scheme == DERIVED_EXACT and convention == GENERAL:
         # U_((-i) mod d, m) INV = sum_k w^(k (-i mod d)) |k><-(k+m)|
-        columns, phases = weyl_monomial(d, (-i) % d, m)
+        columns, phases = weyl_monomial(d, (-k) % d, k)
         columns = (-columns) % d
     elif scheme == DERIVED_EXACT:
-        # sqrt(d) conj(R): R's entry at (a, b) becomes row a, column b
-        row_positions, row_phases = monomial_rows(d, convention)
-        a, b = np.divmod(row_positions, d)
-        o = np.arange(d * d)[:, None]
-        columns = np.empty_like(row_positions)
-        columns[o, a] = b
-        phases = np.empty_like(row_phases)
-        phases[o, a] = np.sqrt(d) * row_phases.conj()
+        # sqrt(d) conj(R): R's entry QFT[i, path] at (a, b) becomes row a, column b
+        path, a, b = np.moveaxis(crystal_wiring(d, convention), -1, 0)
+        columns, paths = np.empty_like(b), np.empty_like(path)
+        columns[k[:, None], a] = b
+        paths[k[:, None], a] = path
+        phases = (np.sqrt(d) * qft(d).conj())[:, paths]
     else:
         raise ValueError(f"unknown correction scheme {scheme!r}")
     columns.setflags(write=False)
     phases.setflags(write=False)
-    return columns, phases
+    # in the general wiring one (d, d) table, phases[i, k], serves every group m
+    return columns, np.broadcast_to(phases.reshape(d, -1, d), (d, d, d))
 
 
 def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) -> np.ndarray:
@@ -792,17 +795,18 @@ def _apply_monomial(columns: np.ndarray, phases: np.ndarray, state: np.ndarray) 
 
 
 def _outcome_unitary(
-    correction: np.ndarray | tuple[np.ndarray, np.ndarray], o: int | slice
+    correction: np.ndarray | tuple[np.ndarray, np.ndarray], i: int | slice, m: int | slice
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Outcome o's correction: a table's dense unitary, or a scheme's (columns, phases) row.
+    """Outcome (i, m)'s correction: a table's dense unitary, or a scheme's (columns, phases).
 
-    A table comes as its (d^2, d, d) unitaries in outcome order, a scheme as
-    its two (d^2, d) arrays; a slice of outcomes keeps the leading axis.
+    A table comes as its (d, d, d, d) unitaries indexed [i, m], a scheme as
+    ``_scheme_table`` gives it; slices of detector rows and crystal groups
+    keep their axes.
     """
     if isinstance(correction, np.ndarray):
-        return correction[o]
+        return correction[i, m]
     columns, phases = correction
-    return columns[o], phases[o]
+    return columns[m], phases[i, m]
 
 
 def _apply_unitary(
@@ -810,15 +814,18 @@ def _apply_unitary(
 ) -> np.ndarray:
     """u psi or u rho u^dag, u a dense matrix or a monomial's (columns, phases).
 
-    With ``adjoint``, u^dag psi for a ket psi, for one u or a stack of them.
+    With ``adjoint``, u^dag psi for a ket psi and a chunk of outcomes: a
+    stack of dense u, or a scheme's (groups, d) columns and (rows, groups, d)
+    phases.
     """
     if adjoint:
         if not isinstance(u, tuple):
             return u.conj().swapaxes(-1, -2) @ state
-        # a monomial's u^dag sends psi_k, times conj(phases_k), to column c_k
+        # a monomial's u^dag sends psi_k, times conj(phases_k), to column c_k;
+        # a group's columns serve every detector row
         columns, phases = u
-        out = np.empty(columns.shape, dtype=complex)
-        np.put_along_axis(out, columns, phases.conj() * state, axis=-1)
+        out = np.empty(phases.shape, dtype=complex)
+        out[:, np.arange(len(columns))[:, None], columns] = phases.conj() * state
         return out
     if isinstance(u, tuple):
         return _apply_monomial(*u, state)
@@ -859,7 +866,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     correction = config.correction
     if isinstance(correction, CorrectionTable):
         # a copy, so a record that builds its state later ignores edits to the table
-        correction = np.stack([correction.entries[divmod(o, d)] for o in range(d * d)])
+        entries = correction.entries
+        correction = np.array([[entries[i, m] for m in range(d)] for i in range(d)])
     else:
         correction = _scheme_table(d, correction, config.convention)
     if ops_a2 is None:

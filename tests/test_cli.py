@@ -237,22 +237,22 @@ class TestSettingDeclarations:
         # Weyl noise on a1,a2 folds into one sender ket per label, d^2 of them
         assert cli._large_dim_warning(SweepConfig(dims=(16,))).endswith(
             "at d = 16, p = 1 the run holds 256 folded sender kets of 16 amplitudes, 65.5 kB, "
-            "beside its (256, 16) outcome tables, 65.5 kB each"
+            "beside the fold's cached columns and coefficients, 32.8 kB and 65.5 kB"
         )
         assert cli._large_dim_warning(SweepConfig(dims=(64,))).endswith(
             "at d = 64, p = 1 the run holds 4096 folded sender kets of 64 amplitudes, 4.2 MB, "
-            "beside its (4096, 64) outcome tables, 4.2 MB each"
+            "beside the fold's cached columns and coefficients, 2.1 MB and 4.2 MB"
         )
         assert cli._large_dim_warning(SweepConfig(dims=(128,))).endswith(
             "at d = 128, p = 1 the run holds 16384 folded sender kets of 128 amplitudes, 33.6 MB, "
-            "beside its (16384, 128) outcome tables, 33.6 MB each"
+            "beside the fold's cached columns and coefficients, 16.8 MB and 33.6 MB"
         )
 
     def test_large_dim_warning_names_kets_when_noiseless(self):
         # one Weyl label survives at p = 0, so the noise folds into one sender ket
         assert cli._large_dim_warning(SweepConfig(dims=(128,), p_grid=(0.0,))).endswith(
             "at d = 128, p = 0 the run holds 1 folded sender ket of 128 amplitudes, 2.0 kB, "
-            "beside its (16384, 128) outcome tables, 33.6 MB each"
+            "beside the fold's cached columns and coefficients, 1.0 kB and 2.0 kB"
         )
 
     def test_help_snapshot(self, monkeypatch, capsys):
@@ -499,7 +499,7 @@ class TestMain:
         assert capsys.readouterr().err == (
             "warning: exact enumeration scales steeply; dims [16] may take a long time; "
             "at d = 16, p = 1 the run holds 256 folded sender kets of 16 amplitudes, 65.5 kB, "
-            "beside its (256, 16) outcome tables, 65.5 kB each\n"
+            "beside the fold's cached columns and coefficients, 32.8 kB and 65.5 kB\n"
         )
 
     def test_large_dim_warning_counts_targeted_channels(self, monkeypatch, capsys):
@@ -510,7 +510,7 @@ class TestMain:
         # a shift channel's 9 labels on a2 alone fold into 9 sender kets
         assert err.endswith(
             "at d = 9, p = 0.5 the run holds 9 folded sender kets of 9 amplitudes, 1.3 kB, "
-            "beside its (81, 9) outcome tables, 11.7 kB each\n"
+            "beside the fold's cached columns and coefficients, 0.6 kB and 1.3 kB\n"
         )
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qudit_teleport import protocol
+from qudit_teleport import measurement, protocol
 from qudit_teleport.channels import (
     PHASE,
     SHIFT,
@@ -797,8 +797,8 @@ class TestOutcomeMapEngine:
         else:
             ch = crosstalk_channel(d, 0.3, WEYL)
         # every QFT phase of the cached receiver map off by 1 %
-        pair, cols, coefs, delta = protocol._receiver_map(d, (0, 0), GENERAL)
-        corrupted = (pair, cols, coefs, 1.01 * delta)
+        pair, cols, coefs, paths, q = protocol._receiver_map(d, (0, 0), GENERAL)
+        corrupted = (pair, cols, coefs, paths, 1.01 * q)
         monkeypatch.setattr(protocol, "_receiver_map", lambda d, label, convention: corrupted)
         with pytest.raises(RuntimeError, match="probabilities do not sum"):
             run_protocol(ProtocolConfig(d=d, input_state=uniform_state(d), noise_a2=ch))
@@ -1114,17 +1114,17 @@ class TestSenderStatePath:
             unitaries = [correction.entries[divmod(o, d)] for o in range(d * d)]
         else:
             columns, phases = protocol._scheme_table(d, scheme, convention)
-            unitaries = list(zip(columns, phases))
+            unitaries = [(columns[m], phases[i, m]) for i in range(d) for m in range(d)]
         # every row in one chunk, one row per chunk, then d - 1 rows per
         # chunk, which do not divide d > 2
         for rows, sizes in ((d, [d]), (1, [1] * d), (d - 1, [d - 1, 1])):
             spans = []
             original = protocol._outcome_unitary
 
-            def spied(correction, o, _original=original):
-                if isinstance(o, slice):
-                    spans.append((min(o.stop, d * d) - o.start) // d)
-                return _original(correction, o)
+            def spied(correction, i, m, _original=original):
+                if isinstance(i, slice):
+                    spans.append(min(i.stop, d) - i.start)
+                return _original(correction, i, m)
 
             budget = rows * self.row_bytes(d, scheme == "table")
             with pytest.MonkeyPatch.context() as mp:
@@ -1292,10 +1292,10 @@ class TestDensePath:
             spans = []
             original = protocol._outcome_unitary
 
-            def spied(correction, o, _original=original):
-                if isinstance(o, slice):
-                    spans.append(min(o.stop, d) - o.start)
-                return _original(correction, o)
+            def spied(correction, i, m, _original=original):
+                if isinstance(m, slice):
+                    spans.append(min(m.stop, d) - m.start)
+                return _original(correction, i, m)
 
             budget = groups * self.group_bytes(d, n_kets, n_ops, scheme == "table")
             with pytest.MonkeyPatch.context() as mp:
@@ -1505,8 +1505,95 @@ class TestMonomialLayer:
             for i in range(d):
                 for m in range(d):
                     u = np.zeros((d, d), dtype=complex)
-                    u[np.arange(d), columns[i * d + m]] = phases[i * d + m]
+                    u[np.arange(d), columns[m]] = phases[i, m]
                     assert_same_floats(u, correction(i, m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 9),
+        convention=st.sampled_from([GENERAL, QUTRIT_ALT]),
+        scheme=st.sampled_from([PAPER_WEYL, DERIVED_EXACT]),
+        data=st.data(),
+    )
+    def test_group_tables_give_every_outcome(self, d, convention, scheme, data):
+        # a cold run reads no composite row; then each outcome's N_o and u_o,
+        # read from the per-group tables, against the rows and the dense corrections
+        if convention == QUTRIT_ALT:
+            d = 3
+        label = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        protocol._receiver_map.cache_clear()
+        protocol._scheme_table.cache_clear()
+
+        def unread(*args):
+            raise AssertionError("a run read monomial_rows")
+
+        config = ProtocolConfig(
+            d=d, input_state=random_pure_state(d, d), bell_label=label, convention=convention,
+            correction=scheme,
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measurement, "monomial_rows", unread)
+            run_protocol(config)
+        receivers = protocol._receiver_map(d, label, convention)
+        correction = protocol._scheme_table(d, scheme, convention)
+        dense = {
+            PAPER_WEYL: lambda i, m: weyl(d, i, m),
+            DERIVED_EXACT: lambda i, m: derived_exact_correction(d, i, m, convention),
+        }[scheme]
+        positions, phases = monomial_rows(d, convention)
+        pair = bell_state(d, label).reshape(d, d)
+        rows = np.arange(d)
+        for i in range(d):
+            for m in range(d):
+                o = i * d + m
+                # the row's entry (a, b) sends A1 level a to A2 level b, and the
+                # Bell pair sends b to receiver level out
+                a, b = np.divmod(positions[o], d)
+                out = np.abs(pair).argmax(axis=1)[b]
+                want = np.zeros((d, d), dtype=complex)
+                want[out, a] = phases[o] * pair[b, out]
+                cols, coefs = protocol._receiver(receivers, o)
+                got = np.zeros((d, d), dtype=complex)
+                got[rows, cols] = coefs
+                assert_same_floats(got, want)
+                columns, u_phases = protocol._outcome_unitary(correction, i, m)
+                u = np.zeros((d, d), dtype=complex)
+                u[rows, columns] = u_phases
+                assert_same_floats(u, dense(i, m))
+
+    @pytest.mark.parametrize("d, convention", [(4, GENERAL), (3, QUTRIT_ALT)])
+    def test_every_run_checks_the_wiring(self, monkeypatch, d, convention):
+        pairs = measurement.crystal_pairs
+
+        def reused(d, m, convention=GENERAL):
+            # group 1 takes group 0's first input pair
+            triples = pairs(d, m, convention)
+            if m == 1:
+                triples[0] = (triples[0][0], *pairs(d, 0, convention)[0][1:])
+            return triples
+
+        monkeypatch.setattr(measurement, "crystal_pairs", reused)
+        protocol._receiver_map.cache_clear()
+        protocol._scheme_table.cache_clear()
+        config = ProtocolConfig(d=d, input_state=uniform_state(d), convention=convention)
+        with pytest.raises(RuntimeError, match="crystal operator construction violated its invariants"):
+            run_protocol(config)
+
+    def test_cold_run_caches_no_cubic_table(self):
+        # every cached table of a noiseless run is (d, d): about 1.5 MiB stay
+        # at d = 128, where d^3 phases alone are 32 MiB
+        d = 128
+        for cache in (protocol._receiver_map, protocol._scheme_table, protocol._folded_sender):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            res = run_protocol(ProtocolConfig(d=d, input_state=random_pure_state(d, d)))
+            assert abs(res.min_outcome_fidelity - 1.0) < 1e-12
+            del res
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 4 * 2**20
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_branch_engine_reproduces_dense_contraction(self, d):
@@ -1582,9 +1669,8 @@ class TestMonomialCorrection:
             }
         columns, phases = protocol._scheme_table(d, scheme, convention)
         for (i, m), u in dense.items():
-            o = i * d + m
             for state, want in ((ket, u @ ket), (rho, u @ rho @ u.conj().T)):
-                got = protocol._apply_monomial(columns[o], phases[o], state)
+                got = protocol._apply_monomial(columns[m], phases[i, m], state)
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-14
                 assert abs(pure_fidelity(phi, got) - pure_fidelity(phi, want)) <= 1e-14
